@@ -5,7 +5,7 @@
 //
 //   $ psld --listen 127.0.0.1:7878 (--snapshot list.psnap | --store hist.pstore)
 //          [--threads N] [--max-conns N] [--queue-depth N]
-//          [--max-frame BYTES] [--force-poll] [--analytics]
+//          [--max-frame BYTES] [--backend auto|epoll|poll] [--analytics]
 //
 //   Boots a serve::Engine from the validated snapshot file — or, with
 //   --store, from the newest version of a multi-version psl::store file,
@@ -89,7 +89,7 @@ int usage() {
                "usage:\n"
                "  psld --listen ADDR:PORT (--snapshot FILE | --store FILE) [--threads N]\n"
                "       [--max-conns N] [--queue-depth N] [--max-frame BYTES]\n"
-               "       [--backend auto|epoll|poll|io_uring] [--force-poll] [--udp]\n"
+               "       [--backend auto|epoll|poll] [--udp]\n"
                "       [--shards N] [--analytics]\n"
                "PORT 0 asks the kernel for an ephemeral port; the banner names it.\n"
                "--shards N forks N acceptor processes sharing the port via\n"
@@ -400,18 +400,6 @@ struct ServeConfig {
   bool analytics = false;
 };
 
-// The daemon is graceful where the library is strict: an explicit
-// --backend io_uring on a kernel without it serves anyway (on epoll/poll)
-// with a log line, instead of refusing to boot a fleet over a scheduler
-// detail. Tests that NEED io_uring use the library and skip.
-psl::net::Backend resolve_backend(psl::net::Backend requested) {
-  if (requested == psl::net::Backend::kIoUring && !psl::net::Server::io_uring_supported()) {
-    std::fprintf(stderr, "psld: io_uring unsupported on this kernel, falling back\n");
-    return psl::net::Backend::kAuto;
-  }
-  return requested;
-}
-
 // One shard: engine + server + signal loop, run in a forked child. The shard
 // maps the SAME snapshot file as every other shard (load_file_view — one
 // physical copy in the page cache) and installs it as the latch's current
@@ -454,7 +442,7 @@ int shard_main(const ServeConfig& cfg, std::size_t shard_index,
   options.port = cfg.port;  // concrete by now — the parent resolved port 0
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.backend = resolve_backend(cfg.backend);
+  options.backend = cfg.backend;
   options.reuse_port = true;
   options.enable_udp = cfg.udp;
   options.metrics = &metrics;
@@ -740,7 +728,7 @@ int cmd_serve(const ServeConfig& cfg) {
   options.port = cfg.port;
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.backend = resolve_backend(cfg.backend);
+  options.backend = cfg.backend;
   options.enable_udp = cfg.udp;
   options.metrics = &metrics;
   psl::net::Server server(*engine, options);
@@ -923,14 +911,10 @@ int main(int argc, char** argv) {
         cfg.backend = psl::net::Backend::kEpoll;
       } else if (*v == "poll") {
         cfg.backend = psl::net::Backend::kPoll;
-      } else if (*v == "io_uring") {
-        cfg.backend = psl::net::Backend::kIoUring;
       } else {
         std::fprintf(stderr, "psld: unknown --backend %s\n", v->c_str());
         return 2;
       }
-    } else if (args[i] == "--force-poll") {
-      cfg.backend = psl::net::Backend::kPoll;  // legacy alias for --backend poll
     } else if (args[i] == "--analytics") {
       cfg.analytics = true;
     } else {

@@ -191,6 +191,21 @@ struct Frame {
   std::span<const std::uint8_t> payload;
 };
 
+/// The one stateless header check, shared by FrameDecoder (streams) and
+/// decode_datagram (UDP): magic, version, zero flags, and a payload length
+/// of at most `max_payload_bytes`. Reads the first kHeaderBytes of `bytes`
+/// (precondition: that many are present). Error codes net.frame.magic,
+/// net.frame.version, net.frame.flags, net.frame.oversize.
+util::Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
+                                        std::size_t max_payload_bytes);
+
+/// Decode the one frame a UDP datagram must hold: a header that passes
+/// decode_header (payload cap kUdpMaxDatagramBytes) and a payload that fills
+/// the rest of the datagram exactly. Accepts exactly the datagrams a fresh
+/// FrameDecoder(kUdpMaxDatagramBytes) turns into one frame with nothing left
+/// buffered. `out.payload` points into `datagram`.
+bool decode_datagram(std::span<const std::uint8_t> datagram, Frame& out);
+
 /// Incremental frame decoder. Tolerates arbitrary read fragmentation;
 /// rejects protocol violations with a sticky error (the connection must be
 /// closed — the stream cannot be trusted past the first bad header).

@@ -3,12 +3,16 @@
 // One event-loop thread owns every socket: a non-blocking IPv4 listener plus
 // per-connection state machines (incremental FrameDecoder in, reusable write
 // buffer out), multiplexed through epoll where available and poll()
-// everywhere else (ServerOptions::force_poll pins the portable backend, so
-// both are testable on one platform). Query batches never run on the loop
-// thread: decoded same_site/match requests are handed to the engine's worker
-// pool via Engine::submit_job, workers build the complete response frame off
-// to the side, and a self-pipe wakes the loop to flush it — so a slow batch
-// never blocks accepting, reading, or other connections' responses.
+// everywhere else (ServerOptions::backend pins either, so both are testable
+// on one platform). Every request type is one row of a handler table: a
+// loop-thread payload check, a run step that encodes the whole response
+// against a pinned engine State, where the row runs, whether UDP may use it,
+// and its latency histogram. TCP query batches never run on the loop
+// thread: their rows are handed to the engine's worker pool via
+// Engine::submit_job, workers build the complete response frame off to the
+// side, and a self-pipe wakes the loop to flush it — so a slow batch never
+// blocks accepting, reading, or other connections' responses. UDP datagrams
+// run the same rows inline on the loop thread (Engine::run_inline).
 //
 // Contracts worth naming:
 //
@@ -49,16 +53,19 @@
 // counters net.accepted, net.frames_in, net.frames_out, net.bytes_in,
 // net.bytes_out, net.reject.backpressure, net.reject.malformed,
 // net.reject.max_conns, net.timeout.idle, net.timeout.read,
-// net.timeout.write_stall, net.frame_errors, net.push.sent; histograms
-// net.request_ms.{ping,same_site,match,reload,stats,ingest,census}
-// (decode-to-response-enqueue latency per request type). With --analytics:
-// counters analytics.ingest.records, analytics.ingest.dropped,
-// analytics.census.queries; gauges analytics.{hosts,sites,pairs}.occupancy
-// (the census's exact-aggregate filter fill levels, refreshed per ingest
-// batch). The same numbers ride the stats frame's analytics block, so an
-// uninstrumented deployment still sees them over the wire.
+// net.timeout.write_stall, net.frame_errors, net.push.sent,
+// net.udp.datagrams, net.udp.dropped; histograms
+// net.request_ms.{ping,same_site,match,reload,stats,match_at,divergence,
+// ingest,census} (decode-to-response-enqueue latency per request type).
+// With --analytics: counters analytics.ingest.records,
+// analytics.ingest.dropped, analytics.census.queries; gauges
+// analytics.{hosts,sites,pairs}.occupancy (the census's exact-aggregate
+// filter fill levels, refreshed per ingest batch). The same numbers ride the
+// stats frame's analytics block, so an uninstrumented deployment still sees
+// them over the wire.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -79,15 +86,12 @@
 
 namespace psl::net {
 
-class Poller;  // epoll/poll/io_uring backend, internal to server.cpp
+class Poller;  // epoll/poll backend, internal to server.cpp
 
 /// Event-loop readiness backend. kAuto prefers epoll on Linux and falls back
-/// to poll() everywhere else. kIoUring is strict: start() fails with
-/// "net.backend" when the kernel cannot run it (syscalls absent, disabled by
-/// the kernel.io_uring_disabled sysctl, or timed waits unsupported) —
-/// callers wanting graceful fallback probe Server::io_uring_supported()
-/// first, which is exactly what psld --backend io_uring does.
-enum class Backend : std::uint8_t { kAuto, kEpoll, kPoll, kIoUring };
+/// to poll() everywhere else. An explicit kEpoll is strict: start() fails
+/// with "net.backend" where epoll cannot run.
+enum class Backend : std::uint8_t { kAuto, kEpoll, kPoll };
 
 // UDP frames are bounded by kUdpMaxDatagramBytes (frame.hpp), both
 // directions. A response that would exceed the bound is replaced by a
@@ -105,15 +109,15 @@ struct ServerOptions {
   int read_timeout_ms = 10000;   ///< a started frame must complete this fast
   int write_stall_timeout_ms = 10000;  ///< pending output must make progress this fast
   int drain_timeout_ms = 5000;   ///< graceful-shutdown bound before force-close
-  bool force_poll = false;       ///< legacy alias: true pins Backend::kPoll
   Backend backend = Backend::kAuto;  ///< readiness backend (see Backend)
   /// SO_REUSEPORT on the listener (and the UDP socket): N processes bind
   /// the same port and the kernel load-balances connections across them —
   /// the psld --shards fan-out. Every process on the port must set it.
   bool reuse_port = false;
   /// Serve the UDP fast path on the same port: one request frame per
-  /// datagram, answered inline on the loop thread (no worker hop) — for
-  /// clients that cannot amortize a TCP batch. Supported request types:
+  /// datagram, answered inline on the loop thread by the TCP handlers
+  /// against an uncached pin (no worker hop) — for clients that cannot
+  /// amortize a TCP batch. Supported request types:
   /// ping, same_site_batch, match_batch, stats; everything else answers
   /// kUnsupported with detail "udp.unsupported". See kUdpMaxDatagramBytes.
   bool enable_udp = false;
@@ -141,28 +145,44 @@ class Server {
   std::uint16_t port() const noexcept { return port_; }
   /// Open connections (tests; the live value is also the net.connections gauge).
   std::size_t connection_count() const;
-  /// The active readiness backend ("epoll", "poll", "io_uring"); "none"
-  /// before the first successful start().
+  /// The active readiness backend ("epoll" or "poll"); "none" before the
+  /// first successful start().
   const char* backend_name() const noexcept { return backend_name_; }
-  /// Can this kernel run the io_uring backend? One real ring is set up and
-  /// torn down on the first call (the result is cached): syscalls present,
-  /// not disabled by sysctl, and EXT_ARG timed waits available.
-  static bool io_uring_supported();
 
  private:
   struct Connection;
   struct Completion;
+  using Clock = std::chrono::steady_clock;
+  using Pinned = serve::Engine::Pinned;
+  /// A handler's run step: append the complete response frame for request
+  /// `id` to `out`, answering from `pinned`.
+  using RunStep = void(const Pinned& pinned, std::span<const std::uint8_t> payload,
+                       std::uint32_t id, std::vector<std::uint8_t>& out);
+
+  /// One row of the request-handler table, shared by TCP and UDP.
+  struct Handler {
+    /// Loop-thread payload check; null accepts any payload. A payload that
+    /// fails it answers kMalformed with `malformed` as the detail.
+    bool (*parse)(std::span<const std::uint8_t> payload) = nullptr;
+    const char* malformed = "";
+    RunStep Server::*run = nullptr;
+    bool worker = false;  ///< TCP runs it via submit_job, not on the loop
+    bool udp = false;     ///< a datagram may carry it
+    obs::Histogram* latency = nullptr;  ///< net.request_ms.*; null = untimed
+  };
+  /// The row for wire type byte `type`; null when no client may send it.
+  const Handler* handler(std::uint8_t type) const noexcept;
 
   void loop();
   void handle_accept();
   void handle_udp();
-  void dispatch_udp_frame(const FrameHeader& header, std::span<const std::uint8_t> payload);
+  void answer_datagram(const Frame& frame);  // fills udp_out_
   bool handle_readable(Connection& conn);
   bool flush_writes(Connection& conn);
   void dispatch_frame(Connection& conn, const Frame& frame);
+  void submit(Connection& conn, const Handler& row, const Frame& frame, Clock::time_point t0);
   void respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                       std::string_view detail);
-  void append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t id);
   void finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,
                      std::uint32_t id);
   void complete(Completion completion);  // engine workers -> loop thread
@@ -170,9 +190,11 @@ class Server {
   void broadcast_generation();  // pending push -> subscribed connections
   void close_connection(std::uint64_t conn_id);
   int next_timeout_ms(std::chrono::steady_clock::time_point now) const;
-  void observe_latency(FrameType request_type,
-                       std::chrono::steady_clock::time_point t0);
   void update_read_interest(Connection& conn);
+
+  // The run steps of the handler table, one per request type.
+  RunStep run_ping, run_same_site, run_match, run_reload, run_stats, run_match_at,
+      run_divergence, run_subscribe, run_ingest, run_census;
 
   // Recycled response buffers handed to engine workers so steady-state
   // response encoding allocates nothing once buffers reach high-water size.
@@ -190,6 +212,8 @@ class Server {
   const char* backend_name_ = "none";
   std::unique_ptr<Poller> poller_;
   std::thread loop_thread_;
+  // Indexed by request type byte; rows without a run step are unknown types.
+  std::array<Handler, static_cast<std::size_t>(FrameType::kCensusQuery) + 1> handlers_{};
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
 
@@ -234,11 +258,7 @@ class Server {
   };
   std::shared_ptr<PushState> push_state_;
 
-  // Loop-thread scratch (parse views point into the decoder buffer).
-  std::vector<std::uint8_t> read_scratch_;
-  std::vector<std::pair<std::string_view, std::string_view>> pair_scratch_;
-  std::vector<std::string_view> host_scratch_;
-  std::vector<WireIngestRecord> ingest_scratch_;
+  std::vector<std::uint8_t> read_scratch_;  // loop-thread socket reads
   // UDP scratch (loop thread): the request datagram and the response under
   // construction. Both reach high-water size once and are reused.
   std::vector<std::uint8_t> udp_in_;
@@ -264,15 +284,6 @@ class Server {
   obs::Counter* push_sent_ = nullptr;
   obs::Counter* udp_datagrams_ = nullptr;
   obs::Counter* udp_dropped_ = nullptr;
-  obs::Histogram* latency_ping_ = nullptr;
-  obs::Histogram* latency_same_site_ = nullptr;
-  obs::Histogram* latency_match_ = nullptr;
-  obs::Histogram* latency_reload_ = nullptr;
-  obs::Histogram* latency_stats_ = nullptr;
-  obs::Histogram* latency_match_at_ = nullptr;
-  obs::Histogram* latency_divergence_ = nullptr;
-  obs::Histogram* latency_ingest_ = nullptr;
-  obs::Histogram* latency_census_ = nullptr;
   obs::Counter* analytics_ingest_records_ = nullptr;
   obs::Counter* analytics_ingest_dropped_ = nullptr;
   obs::Counter* analytics_census_queries_ = nullptr;

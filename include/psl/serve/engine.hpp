@@ -140,7 +140,8 @@ class Engine {
     const snapshot::Metadata& meta;
     std::uint64_t generation;
     /// This worker's cache inside the pinned State; null when caching is
-    /// disabled. Single-writer: only this worker, only during this batch.
+    /// disabled or the pin is inline (run_inline). Single-writer: only this
+    /// worker, only during this batch.
     RegDomainCache* cache = nullptr;
     const Engine* engine = nullptr;  ///< for cache/batch instrumentation
     /// This generation's analytics census (null when analytics is off).
@@ -176,13 +177,24 @@ class Engine {
   /// Add `n` to serve.queries on behalf of a submit_job batch.
   void count_queries(std::size_t n) const noexcept;
 
-  // --- single queries (inline, no queue; resolve the State per call) -----
+  // --- inline queries (no queue; resolve the State per call) -------------
+
+  /// Run `fn` on the calling thread against the current State, pinned for
+  /// the call: the inline twin of submit_job, with the same Pinned helpers
+  /// and the same count_queries() duty. The pin carries no cache (worker
+  /// caches are single-writer and this thread is no worker), so cache-aware
+  /// helpers walk the trie; match_batch keeps its interleaved walk.
+  /// Returns whatever `fn` returns.
+  template <typename Fn>
+  decltype(auto) run_inline(Fn&& fn) const {
+    const auto state = current();
+    return std::forward<Fn>(fn)(Pinned{state->matcher, state->meta, state->generation, nullptr,
+                                       this, state->census.get(), 0});
+  }
 
   /// eTLD+1 of `host`, or "" when the host has none (it is itself a public
-  /// suffix, or is degenerate).
+  /// suffix, or is degenerate). Counts one serve.queries.
   std::string registrable_domain(std::string_view host) const;
-  bool same_site(std::string_view a, std::string_view b) const;
-  Match match(std::string_view host) const;
 
   // --- batched queries (worker pool; one State per batch) ----------------
   //

@@ -22,6 +22,45 @@ std::uint64_t load_u64(const std::uint8_t* p) noexcept {
 
 }  // namespace
 
+// --- header check -----------------------------------------------------------
+
+util::Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
+                                        std::size_t max_payload_bytes) {
+  const std::uint8_t* h = bytes.data();
+  if (load_u32(h) != kMagic) {
+    return util::make_error("net.frame.magic", "frame does not start with PSLN");
+  }
+  FrameHeader header;
+  header.version = h[4];
+  header.type = h[5];
+  header.flags = load_u16(h + 6);
+  header.id = load_u32(h + 8);
+  header.payload_len = load_u32(h + 12);
+  if (header.version != kProtocolVersion) {
+    return util::make_error("net.frame.version",
+                            "unsupported protocol version " + std::to_string(header.version));
+  }
+  if (header.flags != 0) {
+    return util::make_error("net.frame.flags", "reserved flag bits set");
+  }
+  if (static_cast<std::uint64_t>(header.payload_len) > max_payload_bytes) {
+    return util::make_error("net.frame.oversize",
+                            "declared payload of " + std::to_string(header.payload_len) +
+                                " bytes exceeds the " + std::to_string(max_payload_bytes) +
+                                "-byte frame cap");
+  }
+  return header;
+}
+
+bool decode_datagram(std::span<const std::uint8_t> datagram, Frame& out) {
+  if (datagram.size() < kHeaderBytes) return false;
+  auto header = decode_header(datagram, kUdpMaxDatagramBytes);
+  if (!header.ok() || datagram.size() != kHeaderBytes + header->payload_len) return false;
+  out.header = *header;
+  out.payload = datagram.subspan(kHeaderBytes);
+  return true;
+}
+
 // --- FrameDecoder -----------------------------------------------------------
 
 FrameDecoder::FrameDecoder(std::size_t max_frame_bytes) : max_frame_bytes_(max_frame_bytes) {}
@@ -46,41 +85,17 @@ FrameDecoder::Next FrameDecoder::next(Frame& out) {
   if (avail < kHeaderBytes) return Next::kNeedMore;
 
   const std::uint8_t* h = buffer_.data() + read_off_;
-  if (load_u32(h) != kMagic) {
+  auto header = decode_header({h, kHeaderBytes}, max_frame_bytes_);
+  if (!header.ok()) {
     failed_ = true;
-    error_ = util::make_error("net.frame.magic", "frame does not start with PSLN");
+    error_ = header.error();
     return Next::kError;
   }
-  FrameHeader header;
-  header.version = h[4];
-  header.type = h[5];
-  header.flags = load_u16(h + 6);
-  header.id = load_u32(h + 8);
-  header.payload_len = load_u32(h + 12);
-  if (header.version != kProtocolVersion) {
-    failed_ = true;
-    error_ = util::make_error("net.frame.version",
-                              "unsupported protocol version " + std::to_string(header.version));
-    return Next::kError;
-  }
-  if (header.flags != 0) {
-    failed_ = true;
-    error_ = util::make_error("net.frame.flags", "reserved flag bits set");
-    return Next::kError;
-  }
-  if (static_cast<std::uint64_t>(header.payload_len) > max_frame_bytes_) {
-    failed_ = true;
-    error_ = util::make_error("net.frame.oversize",
-                              "declared payload of " + std::to_string(header.payload_len) +
-                                  " bytes exceeds the " + std::to_string(max_frame_bytes_) +
-                                  "-byte frame cap");
-    return Next::kError;
-  }
-  if (avail < kHeaderBytes + header.payload_len) return Next::kNeedMore;
+  if (avail < kHeaderBytes + header->payload_len) return Next::kNeedMore;
 
-  out.header = header;
-  out.payload = std::span<const std::uint8_t>(h + kHeaderBytes, header.payload_len);
-  read_off_ += kHeaderBytes + header.payload_len;
+  out.header = *header;
+  out.payload = std::span<const std::uint8_t>(h + kHeaderBytes, header->payload_len);
+  read_off_ += kHeaderBytes + header->payload_len;
   return Next::kFrame;
 }
 

@@ -20,19 +20,6 @@
 #include <sys/epoll.h>
 #endif
 
-// The io_uring backend talks to the kernel through raw syscalls (no liburing
-// dependency); it is compiled in only where the uapi header exists and still
-// probes at runtime before first use (Server::io_uring_supported()).
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#define PSL_HAVE_IO_URING 1
-#include <linux/io_uring.h>
-#include <linux/time_types.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#else
-#define PSL_HAVE_IO_URING 0
-#endif
-
 namespace psl::net {
 
 namespace {
@@ -76,7 +63,7 @@ class Poller {
   virtual const char* name() const noexcept = 0;
 
   /// Resolve `backend` to a concrete poller. kAuto prefers epoll where
-  /// available; kIoUring returns nullptr when the kernel cannot run it (the
+  /// available; an explicit kEpoll that cannot run returns nullptr (the
   /// caller turns that into a "net.backend" error — no silent substitution
   /// of an explicitly requested backend).
   static std::unique_ptr<Poller> make(Backend backend);
@@ -189,295 +176,10 @@ class EpollPoller final : public Poller {
 };
 #endif  // __linux__
 
-#if PSL_HAVE_IO_URING
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete, unsigned flags,
-                       const void* arg, std::size_t argsz) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_enter, ring_fd, to_submit, min_complete, flags, arg, argsz));
-}
-
-/// io_uring backend with poll()-equivalent level-triggered semantics: every
-/// watched fd is armed with a ONE-SHOT IORING_OP_POLL_ADD; a completion
-/// disarms it and the next wait() re-arms it with the fd's current interest
-/// mask. That costs one SQE per *ready* fd per loop iteration (idle fds stay
-/// armed for free) and keeps the Server's event-loop logic — which was
-/// written against level-triggered poll/epoll — valid without modification.
-///
-/// Interest changes (mod/del) cancel the in-flight arm with
-/// IORING_OP_POLL_REMOVE and bump the fd's arm token; CQEs carry
-/// (fd, token) in user_data, so a completion from a canceled arm that raced
-/// the cancellation is recognized as stale and dropped instead of being
-/// misread as fresh readiness for the new interest mask.
-class IoUringPoller final : public Poller {
- public:
-  /// Set up the ring; nullptr when the kernel cannot run this backend
-  /// (ENOSYS, the io_uring_disabled sysctl, or missing EXT_ARG timed waits).
-  static std::unique_ptr<IoUringPoller> try_make() {
-    auto poller = std::unique_ptr<IoUringPoller>(new IoUringPoller());
-    if (!poller->init()) return nullptr;
-    return poller;
-  }
-
-  ~IoUringPoller() override {
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_bytes_);
-    if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_bytes_);
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_) ::munmap(cq_ring_, cq_ring_bytes_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (states_.count(fd) != 0) return false;
-    states_[fd] = FdState{want_read, want_write, false, next_token_++};
-    return true;
-  }
-
-  bool mod(int fd, bool want_read, bool want_write) override {
-    auto it = states_.find(fd);
-    if (it == states_.end()) return false;
-    FdState& s = it->second;
-    if (s.want_read == want_read && s.want_write == want_write) return true;
-    if (s.armed) cancel_arm(fd, s);
-    s.want_read = want_read;
-    s.want_write = want_write;
-    return true;
-  }
-
-  void del(int fd) override {
-    auto it = states_.find(fd);
-    if (it == states_.end()) return;
-    if (it->second.armed) cancel_arm(fd, it->second);
-    states_.erase(it);
-    // Flush the POLL_REMOVE now: the caller is about to close(fd), and the
-    // armed POLL_ADD holds a reference on the file until canceled.
-    submit_pending(0, nullptr, 0, 0);
-  }
-
-  int wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    for (auto& [fd, s] : states_) {
-      if (s.armed) continue;
-      io_uring_sqe* sqe = next_sqe();
-      if (sqe == nullptr) break;  // ring full; the rest re-arm next wait
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = fd;
-      // POLLERR/POLLHUP are always reported, as with poll(2), even when the
-      // interest mask is empty (a write-stalled connection being back-
-      // pressured still notices the peer vanishing).
-      sqe->poll32_events = (s.want_read ? POLLIN : 0u) | (s.want_write ? POLLOUT : 0u);
-      sqe->user_data = pack(fd, s.token);
-      s.armed = true;
-    }
-
-    io_uring_getevents_arg arg{};
-    __kernel_timespec ts{};
-    const void* argp = nullptr;
-    std::size_t argsz = 0;
-    unsigned flags = IORING_ENTER_GETEVENTS;
-    unsigned min_complete = 1;
-    if (timeout_ms == 0) {
-      min_complete = 0;
-    } else if (timeout_ms > 0) {
-      ts.tv_sec = timeout_ms / 1000;
-      ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1'000'000;
-      arg.ts = reinterpret_cast<std::uint64_t>(&ts);
-      argp = &arg;
-      argsz = sizeof arg;
-      flags |= IORING_ENTER_EXT_ARG;
-    }
-    submit_pending(min_complete, argp, argsz, flags);  // ETIME/EINTR: reap & return
-
-    int n = 0;
-    const unsigned tail = cq_tail_->load(std::memory_order_acquire);
-    unsigned head = cq_head_->load(std::memory_order_relaxed);
-    for (; head != tail; ++head) {
-      const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      if (cqe.user_data == kCancelData) continue;  // a POLL_REMOVE's own CQE
-      const int fd = unpack_fd(cqe.user_data);
-      const std::uint32_t token = unpack_token(cqe.user_data);
-      auto it = states_.find(fd);
-      if (it == states_.end() || it->second.token != token) continue;  // stale arm
-      it->second.armed = false;
-      if (cqe.res == -ECANCELED) continue;
-      Event ev;
-      ev.fd = fd;
-      if (cqe.res < 0) {
-        ev.error = true;  // e.g. -EBADF: surface as an error event
-      } else {
-        const unsigned mask = static_cast<unsigned>(cqe.res);
-        ev.readable = (mask & (POLLIN | POLLHUP)) != 0;
-        ev.writable = (mask & POLLOUT) != 0;
-        ev.error = (mask & (POLLERR | POLLNVAL)) != 0;
-      }
-      out.push_back(ev);
-      ++n;
-    }
-    cq_head_->store(head, std::memory_order_release);
-    return n;
-  }
-
-  const char* name() const noexcept override { return "io_uring"; }
-
- private:
-  struct FdState {
-    bool want_read = false;
-    bool want_write = false;
-    bool armed = false;          ///< a one-shot POLL_ADD is in flight
-    std::uint32_t token = 0;     ///< arm identity; bumped on cancel
-  };
-
-  IoUringPoller() = default;
-
-  static constexpr unsigned kEntries = 256;
-  static constexpr std::uint64_t kCancelData = ~std::uint64_t{0};
-
-  static std::uint64_t pack(int fd, std::uint32_t token) {
-    return (static_cast<std::uint64_t>(token) << 32) | static_cast<std::uint32_t>(fd);
-  }
-  static int unpack_fd(std::uint64_t data) { return static_cast<int>(data & 0xFFFFFFFFu); }
-  static std::uint32_t unpack_token(std::uint64_t data) {
-    return static_cast<std::uint32_t>(data >> 32);
-  }
-
-  bool init() {
-    io_uring_params params{};
-    ring_fd_ = sys_io_uring_setup(kEntries, &params);
-    if (ring_fd_ < 0) return false;
-    // EXT_ARG (5.11+) carries the wait timeout through io_uring_enter —
-    // without it every timed wait would need a TIMEOUT SQE competing for
-    // ring space. Treat its absence as "kernel too old for this backend".
-    if ((params.features & IORING_FEAT_EXT_ARG) == 0) return false;
-
-    sq_ring_bytes_ = params.sq_off.array + params.sq_entries * sizeof(std::uint32_t);
-    cq_ring_bytes_ = params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    const bool single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap) sq_ring_bytes_ = cq_ring_bytes_ = std::max(sq_ring_bytes_, cq_ring_bytes_);
-
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_POPULATE,
-                      ring_fd_, IORING_OFF_SQ_RING);
-    if (sq_ring_ == MAP_FAILED) {
-      sq_ring_ = nullptr;
-      return false;
-    }
-    if (single_mmap) {
-      cq_ring_ = sq_ring_;
-    } else {
-      cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-      if (cq_ring_ == MAP_FAILED) {
-        cq_ring_ = nullptr;
-        return false;
-      }
-    }
-    sqes_bytes_ = params.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(::mmap(nullptr, sqes_bytes_, PROT_READ | PROT_WRITE,
-                                              MAP_SHARED | MAP_POPULATE, ring_fd_,
-                                              IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) {
-      sqes_ = nullptr;
-      return false;
-    }
-
-    auto* sq = static_cast<std::uint8_t*>(sq_ring_);
-    sq_head_ = reinterpret_cast<std::atomic<unsigned>*>(sq + params.sq_off.head);
-    sq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(sq + params.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    auto* cq = static_cast<std::uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<std::atomic<unsigned>*>(cq + params.cq_off.head);
-    cq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(cq + params.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-    local_tail_ = sq_tail_->load(std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Next free SQE (zeroed, already indexed in the SQ array), or nullptr
-  /// when the ring is full.
-  io_uring_sqe* next_sqe() {
-    const unsigned head = sq_head_->load(std::memory_order_acquire);
-    if (local_tail_ - head >= kEntries) return nullptr;
-    io_uring_sqe* sqe = &sqes_[local_tail_ & sq_mask_];
-    std::memset(sqe, 0, sizeof *sqe);
-    sq_array_[local_tail_ & sq_mask_] = local_tail_ & sq_mask_;
-    ++local_tail_;
-    return sqe;
-  }
-
-  /// Cancel `fd`'s in-flight arm and retire its token. The POLL_REMOVE SQE
-  /// is queued here and flushed by the caller (del() immediately, mod() at
-  /// the next wait()).
-  void cancel_arm(int fd, FdState& s) {
-    io_uring_sqe* sqe = next_sqe();
-    if (sqe == nullptr) {
-      submit_pending(0, nullptr, 0, 0);
-      sqe = next_sqe();
-    }
-    if (sqe != nullptr) {
-      sqe->opcode = IORING_OP_POLL_REMOVE;
-      sqe->addr = pack(fd, s.token);  // user_data of the arm to cancel
-      sqe->user_data = kCancelData;
-    }
-    // Even if the ring was too full to queue the cancel, the token bump
-    // makes any late completion stale — the old arm can only leak until its
-    // fd next becomes ready, never corrupt readiness.
-    s.token = next_token_++;
-    s.armed = false;
-  }
-
-  /// Publish queued SQEs and (optionally) wait for completions.
-  void submit_pending(unsigned min_complete, const void* argp, std::size_t argsz,
-                      unsigned flags) {
-    sq_tail_->store(local_tail_, std::memory_order_release);
-    const unsigned to_submit = local_tail_ - sq_head_->load(std::memory_order_acquire);
-    if (to_submit == 0 && min_complete == 0 && (flags & IORING_ENTER_GETEVENTS) == 0) return;
-    (void)sys_io_uring_enter(ring_fd_, to_submit, min_complete, flags, argp, argsz);
-    // ETIME (timed out), EINTR (signal): both fine — the caller reaps
-    // whatever completed. Submission errors leave arms pending and the
-    // affected fds simply re-arm on a later wait.
-  }
-
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  std::size_t sq_ring_bytes_ = 0, cq_ring_bytes_ = 0, sqes_bytes_ = 0;
-  std::atomic<unsigned>* sq_head_ = nullptr;
-  std::atomic<unsigned>* sq_tail_ = nullptr;
-  unsigned* sq_array_ = nullptr;
-  unsigned sq_mask_ = 0;
-  std::atomic<unsigned>* cq_head_ = nullptr;
-  std::atomic<unsigned>* cq_tail_ = nullptr;
-  io_uring_cqe* cqes_ = nullptr;
-  unsigned cq_mask_ = 0;
-  unsigned local_tail_ = 0;
-
-  std::uint32_t next_token_ = 1;
-  std::unordered_map<int, FdState> states_;
-};
-
-#endif  // PSL_HAVE_IO_URING
-
 }  // namespace
 
 std::unique_ptr<Poller> Poller::make(Backend backend) {
-  switch (backend) {
-    case Backend::kPoll:
-      return std::make_unique<PollPoller>();
-    case Backend::kIoUring:
-#if PSL_HAVE_IO_URING
-      return IoUringPoller::try_make();  // nullptr when the kernel can't
-#else
-      return nullptr;
-#endif
-    case Backend::kEpoll:
-    case Backend::kAuto:
-      break;
-  }
+  if (backend == Backend::kPoll) return std::make_unique<PollPoller>();
 #if defined(__linux__)
   {
     auto epoll = std::make_unique<EpollPoller>();
@@ -486,6 +188,87 @@ std::unique_ptr<Poller> Poller::make(Backend backend) {
 #endif
   return backend == Backend::kEpoll ? nullptr : std::make_unique<PollPoller>();
 }
+
+// --- response encoding + parse steps ----------------------------------------
+
+namespace {
+
+void observe_since(obs::Histogram* sink, std::chrono::steady_clock::time_point t0) {
+  if (!sink) return;
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  sink->observe(std::chrono::duration<double, std::milli>(elapsed).count());
+}
+
+/// A status-only response frame: the status byte and a str16 detail.
+void append_status(std::vector<std::uint8_t>& out, FrameType type, std::uint32_t id,
+                   Status status, std::string_view detail) {
+  const std::size_t frame_begin = begin_response_frame(out, type, id);
+  put_u8(out, static_cast<std::uint8_t>(status));
+  put_str16(out, detail.substr(0, 512));
+  end_frame(out, frame_begin);
+}
+
+/// Start a kOk response frame; the caller appends the body and end_frame()s.
+std::size_t begin_ok(std::vector<std::uint8_t>& out, FrameType type, std::uint32_t id) {
+  const std::size_t frame_begin = begin_response_frame(out, type, id);
+  put_u8(out, static_cast<std::uint8_t>(Status::kOk));
+  return frame_begin;
+}
+
+/// A date as u64 days since 1970-01-01, two's complement.
+void put_date(std::vector<std::uint8_t>& out, util::Date date) {
+  put_u64(out, static_cast<std::uint64_t>(static_cast<std::int64_t>(date.days_since_epoch())));
+}
+
+/// The MatchView→wire encoder, shared by match_batch (TCP and UDP) and
+/// match_at: u32 count, then per host str16 public_suffix, str16
+/// registrable_domain, u8 flags (bit0 explicit rule, bit1 private section).
+void put_match_views(std::vector<std::uint8_t>& out, std::span<const MatchView> views) {
+  put_u32(out, static_cast<std::uint32_t>(views.size()));
+  for (const MatchView& view : views) {
+    put_str16(out, view.public_suffix);
+    put_str16(out, view.registrable_domain);
+    put_u8(out, static_cast<std::uint8_t>((view.matched_explicit_rule ? 1u : 0u) |
+                                          (view.section == Section::kPrivate ? 2u : 0u)));
+  }
+}
+
+/// Without a store a time-travel request is kUnsupported; any other store
+/// error (a date before the first version) is the request's fault.
+Status store_status(const util::Error& error) {
+  return error.code == "store.none" ? Status::kUnsupported : Status::kMalformed;
+}
+
+// Handler parse steps (loop thread). The parsed views are discarded; the
+// run step re-parses the same bytes.
+bool valid_same_site(std::span<const std::uint8_t> payload) {
+  thread_local std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  return parse_same_site_request(payload, pairs);
+}
+bool valid_match(std::span<const std::uint8_t> payload) {
+  thread_local std::vector<std::string_view> hosts;
+  return parse_match_request(payload, hosts);
+}
+bool valid_match_at(std::span<const std::uint8_t> payload) {
+  thread_local std::vector<std::string_view> hosts;
+  std::int64_t days = 0;
+  return parse_match_at_request(payload, days, hosts);
+}
+bool valid_divergence(std::span<const std::uint8_t> payload) {
+  std::string_view host;
+  return parse_divergence_request(payload, host);
+}
+bool valid_subscribe(std::span<const std::uint8_t> payload) { return payload.empty(); }
+bool valid_ingest(std::span<const std::uint8_t> payload) {
+  thread_local std::vector<WireIngestRecord> records;
+  return parse_ingest_request(payload, records);
+}
+bool valid_census(std::span<const std::uint8_t> payload) {
+  std::uint32_t top_k = 0;
+  return parse_census_request(payload, top_k);
+}
+
+}  // namespace
 
 // --- connection + completion state ------------------------------------------
 
@@ -519,8 +302,8 @@ struct Server::Connection {
 /// loop thread.
 struct Server::Completion {
   std::uint64_t conn_id = 0;
-  std::vector<std::uint8_t> frame;  ///< recycled via the buffer pool
-  FrameType request_type = FrameType::kPing;
+  std::vector<std::uint8_t> frame;    ///< recycled via the buffer pool
+  obs::Histogram* latency = nullptr;  ///< the request row's net.request_ms.*
   std::chrono::steady_clock::time_point t0;
 };
 
@@ -546,15 +329,6 @@ Server::Server(serve::Engine& engine, ServerOptions options)
     push_sent_ = &m.counter("net.push.sent");
     udp_datagrams_ = &m.counter("net.udp.datagrams");
     udp_dropped_ = &m.counter("net.udp.dropped");
-    latency_ping_ = &m.histogram("net.request_ms.ping");
-    latency_same_site_ = &m.histogram("net.request_ms.same_site");
-    latency_match_ = &m.histogram("net.request_ms.match");
-    latency_reload_ = &m.histogram("net.request_ms.reload");
-    latency_stats_ = &m.histogram("net.request_ms.stats");
-    latency_match_at_ = &m.histogram("net.request_ms.match_at");
-    latency_divergence_ = &m.histogram("net.request_ms.divergence");
-    latency_ingest_ = &m.histogram("net.request_ms.ingest");
-    latency_census_ = &m.histogram("net.request_ms.census");
     analytics_ingest_records_ = &m.counter("analytics.ingest.records");
     analytics_ingest_dropped_ = &m.counter("analytics.ingest.dropped");
     analytics_census_queries_ = &m.counter("analytics.census.queries");
@@ -562,18 +336,39 @@ Server::Server(serve::Engine& engine, ServerOptions options)
     analytics_sites_gauge_ = &m.gauge("analytics.sites.occupancy");
     analytics_pairs_gauge_ = &m.gauge("analytics.pairs.occupancy");
   }
+
+  // The request-handler table: one row per type a client may send.
+  const auto row = [this](FrameType type, const char* metric, Handler handler) {
+    if (metric && options_.metrics) handler.latency = &options_.metrics->histogram(metric);
+    handlers_[static_cast<std::size_t>(type)] = handler;
+  };
+  row(FrameType::kPing, "net.request_ms.ping", {.run = &Server::run_ping, .udp = true});
+  row(FrameType::kSameSiteBatch, "net.request_ms.same_site",
+      {.parse = valid_same_site, .malformed = "bad same_site_batch payload",
+       .run = &Server::run_same_site, .worker = true, .udp = true});
+  row(FrameType::kMatchBatch, "net.request_ms.match",
+      {.parse = valid_match, .malformed = "bad match_batch payload", .run = &Server::run_match,
+       .worker = true, .udp = true});
+  row(FrameType::kReload, "net.request_ms.reload", {.run = &Server::run_reload});
+  row(FrameType::kStats, "net.request_ms.stats", {.run = &Server::run_stats, .udp = true});
+  row(FrameType::kMatchAt, "net.request_ms.match_at",
+      {.parse = valid_match_at, .malformed = "bad match_at payload",
+       .run = &Server::run_match_at, .worker = true});
+  row(FrameType::kDivergence, "net.request_ms.divergence",
+      {.parse = valid_divergence, .malformed = "bad divergence payload",
+       .run = &Server::run_divergence, .worker = true});
+  row(FrameType::kSubscribe, nullptr,
+      {.parse = valid_subscribe, .malformed = "subscribe payload must be empty",
+       .run = &Server::run_subscribe});
+  row(FrameType::kIngestBatch, "net.request_ms.ingest",
+      {.parse = valid_ingest, .malformed = "bad ingest_batch payload",
+       .run = &Server::run_ingest, .worker = true});
+  row(FrameType::kCensusQuery, "net.request_ms.census",
+      {.parse = valid_census, .malformed = "bad census_query payload",
+       .run = &Server::run_census, .worker = true});
 }
 
 Server::~Server() { shutdown(); }
-
-bool Server::io_uring_supported() {
-#if PSL_HAVE_IO_URING
-  static const bool supported = [] { return IoUringPoller::try_make() != nullptr; }();
-  return supported;
-#else
-  return false;
-#endif
-}
 
 util::Result<std::uint16_t> Server::start() {
   if (running_.load(std::memory_order_acquire)) {
@@ -582,15 +377,8 @@ util::Result<std::uint16_t> Server::start() {
 
   // Resolve the backend before touching any socket so an unsupported
   // explicit request fails with nothing to unwind.
-  const Backend backend = options_.force_poll ? Backend::kPoll : options_.backend;
-  poller_ = Poller::make(backend);
-  if (!poller_) {
-    return util::make_error(
-        "net.backend",
-        backend == Backend::kIoUring
-            ? "io_uring backend unavailable on this kernel (probe Server::io_uring_supported)"
-            : "requested event backend unavailable");
-  }
+  poller_ = Poller::make(options_.backend);
+  if (!poller_) return util::make_error("net.backend", "requested event backend unavailable");
   backend_name_ = poller_->name();
 
   sockaddr_in addr{};
@@ -764,7 +552,6 @@ void Server::release_buffer(std::vector<std::uint8_t> buffer) {
 // --- event loop -------------------------------------------------------------
 
 void Server::loop() {
-  using Clock = std::chrono::steady_clock;
   std::vector<Poller::Event> events;
   bool draining = false;
   Clock::time_point drain_deadline{};
@@ -1072,613 +859,72 @@ void Server::update_read_interest(Connection& conn) {
 
 // --- request dispatch -------------------------------------------------------
 
+const Server::Handler* Server::handler(std::uint8_t type) const noexcept {
+  return type < handlers_.size() && handlers_[type].run ? &handlers_[type] : nullptr;
+}
+
 void Server::respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                             std::string_view detail) {
-  const std::size_t frame_begin = begin_response_frame(conn.out, type, id);
-  put_u8(conn.out, static_cast<std::uint8_t>(status));
-  put_str16(conn.out, detail.substr(0, 512));
-  end_frame(conn.out, frame_begin);
+  append_status(conn.out, type, id, status, detail);
   if (frames_out_) frames_out_->add();
 }
 
-void Server::append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t id) {
-  const std::size_t frame_begin = begin_response_frame(out, FrameType::kStats, id);
-  put_u8(out, static_cast<std::uint8_t>(Status::kOk));
-  const snapshot::Metadata meta = engine_.metadata();
-  put_u64(out, engine_.generation());
-  put_u64(out, meta.rule_count);
-  put_u64(out, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(meta.source_date.days_since_epoch())));
-  put_u32(out, static_cast<std::uint32_t>(connections_.size()));
-  put_u32(out, static_cast<std::uint32_t>(engine_.queue_depth()));
-  // Analytics block: the SERVING generation's census (zeroed when
-  // --analytics is off); census queries are server-lifetime.
-  const auto census = engine_.census();
-  put_u8(out, census ? 1 : 0);
-  put_u64(out, census ? census->records() : 0);
-  put_u64(out, census ? census->dropped() : 0);
-  put_u64(out, census_queries_total_.load(std::memory_order_relaxed));
-  put_u64(out, census ? census->state_bytes() : 0);
-  end_frame(out, frame_begin);
-}
-
-// --- the UDP fast path ------------------------------------------------------
-//
-// One datagram = one PSLN frame, same header and payload layouts as TCP.
-// Requests are answered INLINE on the loop thread — no worker hop, no
-// completion queue — which is the whole point: a client that cannot amortize
-// a TCP batch (one lookup per event, e.g. a resolver plugin) gets an answer
-// in one socket round trip with no connection state on either side.
-// Datagram loss/reordering is the client's problem by UDP contract (the
-// request id echoes back for matching); oversized responses are replaced by
-// a kUnsupported("udp.oversize") status so the peer learns the bound rather
-// than silently missing a truncated reply.
-
-namespace {
-
-/// Decode the one frame a request datagram must contain: full header, exact
-/// payload length, nothing else. Datagrams that fail this are dropped —
-/// answering would require trusting the very bytes that failed validation.
-bool parse_udp_datagram(std::span<const std::uint8_t> bytes, FrameHeader& header,
-                        std::span<const std::uint8_t>& payload) {
-  if (bytes.size() < kHeaderBytes) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  if (magic != kMagic) return false;
-  header.version = bytes[4];
-  header.type = bytes[5];
-  std::memcpy(&header.flags, bytes.data() + 6, 2);
-  std::memcpy(&header.id, bytes.data() + 8, 4);
-  std::memcpy(&header.payload_len, bytes.data() + 12, 4);
-  if (header.version != kProtocolVersion || header.flags != 0) return false;
-  if (bytes.size() != kHeaderBytes + header.payload_len) return false;
-  payload = bytes.subspan(kHeaderBytes);
-  return true;
-}
-
-}  // namespace
-
-void Server::handle_udp() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const ssize_t n = ::recvfrom(udp_fd_, udp_in_.data(), udp_in_.size(), MSG_TRUNC,
-                                 reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (drained) or transient error: next wake retries
-    }
-    if (udp_datagrams_) udp_datagrams_->add();
-    if (bytes_in_) bytes_in_->add(n);
-    if (static_cast<std::size_t>(n) > udp_in_.size()) {
-      // MSG_TRUNC reported the true size: the datagram exceeded the frame
-      // bound and was truncated — undecodable by construction.
-      if (udp_dropped_) udp_dropped_->add();
-      continue;
-    }
-    FrameHeader header;
-    std::span<const std::uint8_t> payload;
-    if (!parse_udp_datagram({udp_in_.data(), static_cast<std::size_t>(n)}, header, payload)) {
-      if (udp_dropped_) udp_dropped_->add();
-      continue;
-    }
-    if (frames_in_) frames_in_->add();
-    dispatch_udp_frame(header, payload);
-    if (udp_out_.empty()) continue;
-    const ssize_t sent = ::sendto(udp_fd_, udp_out_.data(), udp_out_.size(), 0,
-                                  reinterpret_cast<sockaddr*>(&peer), peer_len);
-    if (sent > 0) {
-      if (bytes_out_) bytes_out_->add(sent);
-      if (frames_out_) frames_out_->add();
-    } else if (udp_dropped_) {
-      udp_dropped_->add();  // full socket buffer: lossy by UDP contract
-    }
-  }
-}
-
-void Server::dispatch_udp_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const FrameType type = static_cast<FrameType>(header.type);
-  const std::uint32_t id = header.id;
-  udp_out_.clear();
-
-  const auto respond_error = [&](Status status, std::string_view detail) {
-    udp_out_.clear();
-    const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-    put_u8(udp_out_, static_cast<std::uint8_t>(status));
-    put_str16(udp_out_, detail);
-    end_frame(udp_out_, frame_begin);
-  };
-
-  switch (type) {
-    case FrameType::kPing: {
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_raw(udp_out_, payload);
-      end_frame(udp_out_, frame_begin);
-      break;
-    }
-
-    case FrameType::kStats:
-      append_stats_response(udp_out_, id);
-      break;
-
-    case FrameType::kMatchBatch: {
-      if (!parse_match_request(payload, host_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_error(Status::kMalformed, "bad match_batch payload");
-        break;
-      }
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_u32(udp_out_, static_cast<std::uint32_t>(host_scratch_.size()));
-      for (const std::string_view host : host_scratch_) {
-        const Match match = engine_.match(host);
-        put_str16(udp_out_, match.public_suffix);
-        put_str16(udp_out_, match.registrable_domain);
-        const std::uint8_t flags = (match.matched_explicit_rule ? 1u : 0u) |
-                                   (match.section == Section::kPrivate ? 2u : 0u);
-        put_u8(udp_out_, flags);
-      }
-      end_frame(udp_out_, frame_begin);
-      engine_.count_queries(host_scratch_.size());
-      break;
-    }
-
-    case FrameType::kSameSiteBatch: {
-      if (!parse_same_site_request(payload, pair_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_error(Status::kMalformed, "bad same_site_batch payload");
-        break;
-      }
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_u32(udp_out_, static_cast<std::uint32_t>(pair_scratch_.size()));
-      for (const auto& [a, b] : pair_scratch_) {
-        put_u8(udp_out_, engine_.same_site(a, b) ? 1 : 0);
-      }
-      end_frame(udp_out_, frame_begin);
-      engine_.count_queries(pair_scratch_.size());
-      break;
-    }
-
-    // Stateful (subscribe), mutating (reload, ingest), or unboundedly large
-    // (census, divergence, match_at) request types stay TCP-only: they need
-    // a connection's ordering, bounded-buffer, and drain guarantees.
-    default:
-      respond_error(Status::kUnsupported, "udp.unsupported");
-      break;
-  }
-
-  if (udp_out_.size() > kUdpMaxDatagramBytes) {
-    respond_error(Status::kUnsupported, "udp.oversize");
-  }
-  observe_latency(type, t0);
-}
-
-void Server::observe_latency(FrameType request_type,
-                             std::chrono::steady_clock::time_point t0) {
-  obs::Histogram* sink = nullptr;
-  switch (request_type) {
-    case FrameType::kPing: sink = latency_ping_; break;
-    case FrameType::kSameSiteBatch: sink = latency_same_site_; break;
-    case FrameType::kMatchBatch: sink = latency_match_; break;
-    case FrameType::kReload: sink = latency_reload_; break;
-    case FrameType::kStats: sink = latency_stats_; break;
-    case FrameType::kMatchAt: sink = latency_match_at_; break;
-    case FrameType::kDivergence: sink = latency_divergence_; break;
-    case FrameType::kIngestBatch: sink = latency_ingest_; break;
-    case FrameType::kCensusQuery: sink = latency_census_; break;
-    case FrameType::kSubscribe:
-    case FrameType::kGenerationChanged: break;  // loop-thread only, not timed
-  }
-  if (!sink) return;
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  sink->observe(std::chrono::duration<double, std::milli>(elapsed).count());
-}
-
 void Server::dispatch_frame(Connection& conn, const Frame& frame) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   const FrameType type = static_cast<FrameType>(frame.header.type);
   const std::uint32_t id = frame.header.id;
+  const Handler* row = handler(frame.header.type);
 
   if (conn.draining) {
     respond_status(conn, type, id, Status::kShuttingDown, "server is draining");
-    return;
-  }
-
-  switch (type) {
-    case FrameType::kPing: {
-      const std::size_t frame_begin = begin_response_frame(conn.out, type, id);
-      put_u8(conn.out, static_cast<std::uint8_t>(Status::kOk));
-      put_raw(conn.out, frame.payload);
-      end_frame(conn.out, frame_begin);
-      if (frames_out_) frames_out_->add();
-      observe_latency(type, t0);
-      return;
-    }
-
-    case FrameType::kStats: {
-      append_stats_response(conn.out, id);
-      if (frames_out_) frames_out_->add();
-      observe_latency(type, t0);
-      return;
-    }
-
-    case FrameType::kSubscribe: {
-      if (!frame.payload.empty()) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "subscribe payload must be empty");
-        return;
+  } else if (!row) {
+    respond_status(conn, type, id, Status::kUnsupported,
+                   "unknown frame type " + std::to_string(frame.header.type));
+  } else if (row->parse && !row->parse(frame.payload)) {
+    if (reject_malformed_) reject_malformed_->add();
+    respond_status(conn, type, id, Status::kMalformed, row->malformed);
+  } else if (row->worker) {
+    submit(conn, *row, frame, t0);
+  } else {
+    engine_.run_inline([&](const Pinned& pinned) {
+      (this->*row->run)(pinned, frame.payload, id, conn.out);
+      if (type == FrameType::kSubscribe) {
+        // Record what this peer now knows, from the same pin the reply
+        // came from, so the first push carries a meaningful rule_delta and
+        // a generation it already saw is skipped.
+        conn.subscribed = true;
+        conn.pushed_generation = pinned.generation;
+        conn.pushed_rule_count = pinned.meta.rule_count;
       }
-      // Record what this peer now knows so the first push carries a
-      // meaningful rule_delta and a generation it already saw is skipped.
-      conn.subscribed = true;
-      conn.pushed_generation = engine_.generation();
-      conn.pushed_rule_count = engine_.metadata().rule_count;
-      const std::size_t frame_begin = begin_response_frame(conn.out, type, id);
-      put_u8(conn.out, static_cast<std::uint8_t>(Status::kOk));
-      put_u64(conn.out, conn.pushed_generation);
-      end_frame(conn.out, frame_begin);
-      if (frames_out_) frames_out_->add();
-      return;
-    }
+    });
+    if (frames_out_) frames_out_->add();
+    observe_since(row->latency, t0);
+  }
+}
 
-    case FrameType::kReload: {
-      // Validation is keep-last-good inside the engine; running it on the
-      // loop thread briefly pauses I/O but never the engine workers.
-      auto swapped = engine_.reload_snapshot(frame.payload);
-      if (swapped.ok()) {
-        const std::size_t frame_begin = begin_response_frame(conn.out, type, id);
-        put_u8(conn.out, static_cast<std::uint8_t>(Status::kOk));
-        put_u64(conn.out, *swapped);
-        end_frame(conn.out, frame_begin);
+void Server::submit(Connection& conn, const Handler& row, const Frame& frame,
+                    Clock::time_point t0) {
+  // Copy the payload ONCE into a pooled buffer the job owns (the decoder
+  // reuses its buffer on the next read); the worker re-parses it into views.
+  std::vector<std::uint8_t> request = acquire_buffer();
+  request.assign(frame.payload.begin(), frame.payload.end());
+  {
+    // Reserve before submit: the job may run (and report back) before
+    // submit_job even returns.
+    std::lock_guard<std::mutex> lock(completion_mutex_);
+    ++outstanding_jobs_;
+  }
+  const std::uint32_t id = frame.header.id;
+  const auto enq = engine_.submit_job(
+      [this, &row, conn_id = conn.id, id, t0,
+       request = std::move(request)](const Pinned& pinned) mutable {
+        std::vector<std::uint8_t> response = acquire_buffer();
+        (this->*row.run)(pinned, request, id, response);
         if (frames_out_) frames_out_->add();
-      } else {
-        respond_status(conn, type, id, Status::kReloadRejected, swapped.error().code);
-      }
-      observe_latency(type, t0);
-      return;
-    }
-
-    // Both batch types follow the same zero-copy shape: validate the payload
-    // on the loop thread (malformed requests answer immediately, and the
-    // worker-side re-parse below can then never fail), memcpy the payload
-    // ONCE into a pooled buffer, and hand that to the job. The worker
-    // re-parses into thread_local view scratch — every hostname the matcher
-    // sees is a view into the job-owned request copy, every response field
-    // is encoded straight from arena-backed MatchView spans into the pooled
-    // response frame. No per-host std::string, no per-pair std::pair<string,
-    // string>, anywhere on the path.
-    case FrameType::kSameSiteBatch: {
-      if (!parse_same_site_request(frame.payload, pair_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad same_site_batch payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        // Reserve before submit: the job may run (and report back) before
-        // submit_job even returns.
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<std::pair<std::string_view, std::string_view>> pairs;
-            parse_same_site_request(request, pairs);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-            put_u32(buf, static_cast<std::uint32_t>(pairs.size()));
-            for (const auto& [a, b] : pairs) {
-              put_u8(buf, pinned.same_site(a, b) ? 1 : 0);  // cached path
-            }
-            end_frame(buf, frame_begin);
-            engine->count_queries(pairs.size());
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    case FrameType::kMatchBatch: {
-      if (!parse_match_request(frame.payload, host_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad match_batch payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<std::string_view> hosts;
-            thread_local std::vector<MatchView> views;
-            parse_match_request(request, hosts);  // validated on the loop thread
-            views.resize(hosts.size());
-            pinned.match_batch(hosts, views);  // interleaved + prefetched walk
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-            put_u32(buf, static_cast<std::uint32_t>(hosts.size()));
-            for (const MatchView& view : views) {
-              put_str16(buf, view.public_suffix);
-              put_str16(buf, view.registrable_domain);
-              const std::uint8_t flags =
-                  (view.matched_explicit_rule ? 1u : 0u) |
-                  (view.section == Section::kPrivate ? 2u : 0u);
-              put_u8(buf, flags);
-            }
-            end_frame(buf, frame_begin);
-            engine->count_queries(hosts.size());
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    // The time-travel requests (psl::store). Same pooled-buffer shape as the
-    // batches; the difference is that version resolution and materialization
-    // run ON THE WORKER (a cold version may decode delta chains — never on
-    // the loop thread), so store-level errors are encoded inside the job and
-    // travel back through complete() like any other response.
-    case FrameType::kMatchAt: {
-      std::int64_t date_days = 0;
-      if (!parse_match_at_request(frame.payload, date_days, host_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad match_at payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned&) mutable {
-            thread_local std::vector<std::string_view> hosts;
-            thread_local std::vector<MatchView> views;
-            std::int64_t days = 0;
-            parse_match_at_request(request, days, hosts);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const auto respond_error = [&](Status status, std::string_view detail) {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(status));
-              put_str16(buf, detail.substr(0, 512));
-              end_frame(buf, frame_begin);
-            };
-            if (days < INT32_MIN || days > INT32_MAX) {
-              respond_error(Status::kMalformed, "store.no-version");
-            } else {
-              const auto snap = engine->version_at(util::Date{static_cast<std::int32_t>(days)});
-              if (!snap.ok()) {
-                respond_error(snap.error().code == "store.none" ? Status::kUnsupported
-                                                                : Status::kMalformed,
-                              snap.error().code);
-              } else {
-                views.resize(hosts.size());
-                snap->matcher.match_batch(hosts, views);
-                const std::size_t frame_begin = begin_response_frame(buf, type, id);
-                put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-                put_u64(buf, static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                                 snap->meta.source_date.days_since_epoch())));
-                put_u64(buf, snap->meta.rule_count);
-                put_u32(buf, static_cast<std::uint32_t>(hosts.size()));
-                for (const MatchView& view : views) {
-                  put_str16(buf, view.public_suffix);
-                  put_str16(buf, view.registrable_domain);
-                  const std::uint8_t flags =
-                      (view.matched_explicit_rule ? 1u : 0u) |
-                      (view.section == Section::kPrivate ? 2u : 0u);
-                  put_u8(buf, flags);
-                }
-                end_frame(buf, frame_begin);
-                engine->count_queries(hosts.size());
-              }
-            }
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    case FrameType::kDivergence: {
-      std::string_view host;
-      if (!parse_divergence_request(frame.payload, host)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad divergence payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned&) mutable {
-            std::string_view h;
-            parse_divergence_request(request, h);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const auto ranges = engine->divergence(h);
-            if (!ranges.ok()) {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(ranges.error().code == "store.none"
-                                                        ? Status::kUnsupported
-                                                        : Status::kMalformed));
-              put_str16(buf, std::string_view(ranges.error().code).substr(0, 512));
-              end_frame(buf, frame_begin);
-            } else {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_u32(buf, static_cast<std::uint32_t>(ranges->size()));
-              for (const store::DivergenceRange& r : *ranges) {
-                put_u64(buf, static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(r.first_date.days_since_epoch())));
-                put_u64(buf, static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(r.last_date.days_since_epoch())));
-                put_str16(buf, r.registrable_domain);
-              }
-              end_frame(buf, frame_begin);
-              engine->count_queries(1);
-            }
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    case FrameType::kIngestBatch: {
-      if (!parse_ingest_request(frame.payload, ingest_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad ingest_batch payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<WireIngestRecord> records;
-            thread_local std::vector<analytics::CensusRecord> batch;
-            parse_ingest_request(request, records);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            if (!pinned.census) {
-              put_u8(buf, static_cast<std::uint8_t>(Status::kUnsupported));
-              put_str16(buf, "analytics.none");
-            } else {
-              batch.clear();
-              batch.reserve(records.size());
-              for (const WireIngestRecord& r : records) {
-                batch.push_back({r.page_host, r.resource_host, r.timestamp_ms});
-              }
-              // The whole batch lands in the pinned generation's census —
-              // that is the ack's generation, and the atomicity contract.
-              const analytics::IngestResult result =
-                  pinned.census->ingest(pinned.worker, pinned.matcher, batch);
-              if (analytics_ingest_records_) {
-                analytics_ingest_records_->add(static_cast<std::int64_t>(result.records));
-              }
-              if (analytics_ingest_dropped_ && result.dropped > 0) {
-                analytics_ingest_dropped_->add(static_cast<std::int64_t>(result.dropped));
-              }
-              if (analytics_hosts_gauge_) {
-                analytics_hosts_gauge_->set(static_cast<double>(pinned.census->unique_hosts()));
-                analytics_sites_gauge_->set(static_cast<double>(pinned.census->sites_formed()));
-                analytics_pairs_gauge_->set(static_cast<double>(pinned.census->reach_pairs()));
-              }
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_u64(buf, pinned.generation);
-              put_u32(buf, result.records);
-            }
-            end_frame(buf, frame_begin);
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    case FrameType::kCensusQuery: {
-      std::uint32_t top_k = 0;
-      if (!parse_census_request(frame.payload, top_k)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad census_query payload");
-        return;
-      }
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, frames_out, conn_id, id, type, t0, top_k](const serve::Engine::Pinned& pinned) {
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            if (!pinned.census) {
-              put_u8(buf, static_cast<std::uint8_t>(Status::kUnsupported));
-              put_str16(buf, "analytics.none");
-            } else {
-              analytics::CensusSnapshot snap = pinned.census->snapshot(top_k);
-              WireCensus wire;
-              wire.generation = pinned.generation;
-              wire.records = snap.records;
-              wire.first_party = snap.first_party;
-              wire.third_party = snap.third_party;
-              wire.unique_hosts = snap.unique_hosts;
-              wire.sites_formed = snap.sites_formed;
-              wire.misbound_hosts = snap.misbound_hosts;
-              wire.dropped = snap.dropped;
-              wire.first_timestamp_ms = snap.first_timestamp_ms;
-              wire.last_timestamp_ms = snap.last_timestamp_ms;
-              wire.state_bytes = snap.state_bytes;
-              wire.etlds.reserve(snap.etlds.size());
-              for (auto& row : snap.etlds) {
-                wire.etlds.push_back({std::move(row.etld), row.misbound});
-              }
-              wire.trackers.reserve(snap.trackers.size());
-              for (auto& row : snap.trackers) {
-                wire.trackers.push_back({std::move(row.domain), row.requests,
-                                         row.requests_err, row.reach, row.reach_err});
-              }
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_census(buf, wire);
-              census_queries_total_.fetch_add(1, std::memory_order_relaxed);
-              if (analytics_census_queries_) analytics_census_queries_->add();
-            }
-            end_frame(buf, frame_begin);
-            if (frames_out) frames_out->add();
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
-    case FrameType::kGenerationChanged:
-      break;  // server-push only; a client sending it gets kUnsupported
-  }
-
-  respond_status(conn, type, id, Status::kUnsupported,
-                 "unknown frame type " + std::to_string(frame.header.type));
+        release_buffer(std::move(request));
+        complete(Completion{conn_id, std::move(response), row.latency, t0});
+      });
+  finish_submit(conn, enq, static_cast<FrameType>(frame.header.type), id);
 }
 
 void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,
@@ -1699,6 +945,282 @@ void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameTy
   std::lock_guard<std::mutex> lock(completion_mutex_);
   --outstanding_jobs_;
   jobs_cv_.notify_all();
+}
+
+// --- the UDP fast path ------------------------------------------------------
+//
+// One datagram = one PSLN frame, same header and payload layouts as TCP.
+// Requests run their handler row INLINE on the loop thread against an
+// uncached pin — no worker hop, no completion queue — which is the whole
+// point: a client that cannot amortize a TCP batch (one lookup per event,
+// e.g. a resolver plugin) gets an answer in one socket round trip with no
+// connection state on either side. Datagram loss/reordering is the client's
+// problem by UDP contract (the request id echoes back for matching);
+// oversized responses are replaced by a kUnsupported("udp.oversize") status
+// so the peer learns the bound rather than silently missing a truncated
+// reply. Datagrams that fail decode_datagram are dropped: answering would
+// require trusting the very bytes that failed validation.
+
+void Server::handle_udp() {
+  for (;;) {
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof peer;
+    const ssize_t n = ::recvfrom(udp_fd_, udp_in_.data(), udp_in_.size(), MSG_TRUNC,
+                                 reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN (drained) or transient error: next wake retries
+    }
+    if (udp_datagrams_) udp_datagrams_->add();
+    if (bytes_in_) bytes_in_->add(n);
+    // MSG_TRUNC reports the true size: a datagram over the buffer was
+    // truncated, so it is undecodable by construction.
+    Frame frame;
+    if (static_cast<std::size_t>(n) > udp_in_.size() ||
+        !decode_datagram({udp_in_.data(), static_cast<std::size_t>(n)}, frame)) {
+      if (udp_dropped_) udp_dropped_->add();
+      continue;
+    }
+    if (frames_in_) frames_in_->add();
+    answer_datagram(frame);
+    const ssize_t sent = ::sendto(udp_fd_, udp_out_.data(), udp_out_.size(), 0,
+                                  reinterpret_cast<sockaddr*>(&peer), peer_len);
+    if (sent > 0) {
+      if (bytes_out_) bytes_out_->add(sent);
+      if (frames_out_) frames_out_->add();
+    } else if (udp_dropped_) {
+      udp_dropped_->add();  // full socket buffer: lossy by UDP contract
+    }
+  }
+}
+
+void Server::answer_datagram(const Frame& frame) {
+  const auto t0 = Clock::now();
+  const FrameType type = static_cast<FrameType>(frame.header.type);
+  const std::uint32_t id = frame.header.id;
+  const Handler* row = handler(frame.header.type);
+  udp_out_.clear();
+
+  // Stateful (subscribe), mutating (reload, ingest), or unboundedly large
+  // (census, divergence, match_at) request types stay TCP-only: they need
+  // a connection's ordering, bounded-buffer, and drain guarantees.
+  if (!row || !row->udp) {
+    append_status(udp_out_, type, id, Status::kUnsupported, "udp.unsupported");
+    return;
+  }
+  if (row->parse && !row->parse(frame.payload)) {
+    if (reject_malformed_) reject_malformed_->add();
+    append_status(udp_out_, type, id, Status::kMalformed, row->malformed);
+    return;
+  }
+  engine_.run_inline(
+      [&](const Pinned& pinned) { (this->*row->run)(pinned, frame.payload, id, udp_out_); });
+  if (udp_out_.size() > kUdpMaxDatagramBytes) {
+    udp_out_.clear();
+    append_status(udp_out_, type, id, Status::kUnsupported, "udp.oversize");
+  }
+  observe_since(row->latency, t0);
+}
+
+// --- request handlers (Handler::run) ----------------------------------------
+//
+// Each run step encodes one complete response frame. Its parse step already
+// validated the payload, so the re-parse here cannot fail; every hostname the
+// matcher sees is a view into the request bytes and every response field is
+// encoded straight from arena-backed MatchView spans — no per-host
+// std::string anywhere on the path. Scratch vectors are thread_local, so the
+// steady state allocates nothing.
+
+void Server::run_ping(const Pinned&, std::span<const std::uint8_t> payload, std::uint32_t id,
+                      std::vector<std::uint8_t>& out) {
+  const std::size_t frame_begin = begin_ok(out, FrameType::kPing, id);
+  put_raw(out, payload);
+  end_frame(out, frame_begin);
+}
+
+void Server::run_same_site(const Pinned& pinned, std::span<const std::uint8_t> payload,
+                           std::uint32_t id, std::vector<std::uint8_t>& out) {
+  thread_local std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  parse_same_site_request(payload, pairs);
+  const std::size_t frame_begin = begin_ok(out, FrameType::kSameSiteBatch, id);
+  put_u32(out, static_cast<std::uint32_t>(pairs.size()));
+  for (const auto& [a, b] : pairs) put_u8(out, pinned.same_site(a, b) ? 1 : 0);
+  end_frame(out, frame_begin);
+  engine_.count_queries(pairs.size());
+}
+
+void Server::run_match(const Pinned& pinned, std::span<const std::uint8_t> payload,
+                       std::uint32_t id, std::vector<std::uint8_t>& out) {
+  thread_local std::vector<std::string_view> hosts;
+  thread_local std::vector<MatchView> views;
+  parse_match_request(payload, hosts);
+  views.resize(hosts.size());
+  pinned.match_batch(hosts, views);  // interleaved + prefetched walk
+  const std::size_t frame_begin = begin_ok(out, FrameType::kMatchBatch, id);
+  put_match_views(out, views);
+  end_frame(out, frame_begin);
+  engine_.count_queries(hosts.size());
+}
+
+void Server::run_reload(const Pinned&, std::span<const std::uint8_t> payload, std::uint32_t id,
+                        std::vector<std::uint8_t>& out) {
+  // Validation is keep-last-good inside the engine; running it on the loop
+  // thread briefly pauses I/O but never the engine workers.
+  const auto swapped = engine_.reload_snapshot(payload);
+  if (!swapped.ok()) {
+    append_status(out, FrameType::kReload, id, Status::kReloadRejected, swapped.error().code);
+    return;
+  }
+  const std::size_t frame_begin = begin_ok(out, FrameType::kReload, id);
+  put_u64(out, *swapped);
+  end_frame(out, frame_begin);
+}
+
+void Server::run_stats(const Pinned& pinned, std::span<const std::uint8_t>, std::uint32_t id,
+                       std::vector<std::uint8_t>& out) {
+  const std::size_t frame_begin = begin_ok(out, FrameType::kStats, id);
+  put_u64(out, pinned.generation);
+  put_u64(out, pinned.meta.rule_count);
+  put_date(out, pinned.meta.source_date);
+  put_u32(out, static_cast<std::uint32_t>(connections_.size()));
+  put_u32(out, static_cast<std::uint32_t>(engine_.queue_depth()));
+  // Analytics block: the pinned generation's census (zeroed when
+  // --analytics is off); census queries are server-lifetime.
+  const analytics::Census* census = pinned.census;
+  put_u8(out, census ? 1 : 0);
+  put_u64(out, census ? census->records() : 0);
+  put_u64(out, census ? census->dropped() : 0);
+  put_u64(out, census_queries_total_.load(std::memory_order_relaxed));
+  put_u64(out, census ? census->state_bytes() : 0);
+  end_frame(out, frame_begin);
+}
+
+// The time-travel requests (psl::store). Version resolution and
+// materialization run on the worker (a cold version may decode delta
+// chains), so store-level errors are encoded here like any other response.
+void Server::run_match_at(const Pinned&, std::span<const std::uint8_t> payload,
+                          std::uint32_t id, std::vector<std::uint8_t>& out) {
+  thread_local std::vector<std::string_view> hosts;
+  thread_local std::vector<MatchView> views;
+  std::int64_t days = 0;
+  parse_match_at_request(payload, days, hosts);
+  if (days < INT32_MIN || days > INT32_MAX) {
+    append_status(out, FrameType::kMatchAt, id, Status::kMalformed, "store.no-version");
+    return;
+  }
+  const auto snap = engine_.version_at(util::Date{static_cast<std::int32_t>(days)});
+  if (!snap.ok()) {
+    append_status(out, FrameType::kMatchAt, id, store_status(snap.error()), snap.error().code);
+    return;
+  }
+  views.resize(hosts.size());
+  snap->matcher.match_batch(hosts, views);
+  const std::size_t frame_begin = begin_ok(out, FrameType::kMatchAt, id);
+  put_date(out, snap->meta.source_date);
+  put_u64(out, snap->meta.rule_count);
+  put_match_views(out, views);
+  end_frame(out, frame_begin);
+  engine_.count_queries(hosts.size());
+}
+
+void Server::run_divergence(const Pinned&, std::span<const std::uint8_t> payload,
+                            std::uint32_t id, std::vector<std::uint8_t>& out) {
+  std::string_view host;
+  parse_divergence_request(payload, host);
+  const auto ranges = engine_.divergence(host);
+  if (!ranges.ok()) {
+    append_status(out, FrameType::kDivergence, id, store_status(ranges.error()),
+                  ranges.error().code);
+    return;
+  }
+  const std::size_t frame_begin = begin_ok(out, FrameType::kDivergence, id);
+  put_u32(out, static_cast<std::uint32_t>(ranges->size()));
+  for (const store::DivergenceRange& r : *ranges) {
+    put_date(out, r.first_date);
+    put_date(out, r.last_date);
+    put_str16(out, r.registrable_domain);
+  }
+  end_frame(out, frame_begin);
+  engine_.count_queries(1);
+}
+
+void Server::run_subscribe(const Pinned& pinned, std::span<const std::uint8_t>,
+                           std::uint32_t id, std::vector<std::uint8_t>& out) {
+  const std::size_t frame_begin = begin_ok(out, FrameType::kSubscribe, id);
+  put_u64(out, pinned.generation);
+  end_frame(out, frame_begin);
+}
+
+void Server::run_ingest(const Pinned& pinned, std::span<const std::uint8_t> payload,
+                        std::uint32_t id, std::vector<std::uint8_t>& out) {
+  if (!pinned.census) {
+    append_status(out, FrameType::kIngestBatch, id, Status::kUnsupported, "analytics.none");
+    return;
+  }
+  thread_local std::vector<WireIngestRecord> records;
+  thread_local std::vector<analytics::CensusRecord> batch;
+  parse_ingest_request(payload, records);
+  batch.clear();
+  batch.reserve(records.size());
+  for (const WireIngestRecord& r : records) {
+    batch.push_back({r.page_host, r.resource_host, r.timestamp_ms});
+  }
+  // The whole batch lands in the pinned generation's census — that is the
+  // ack's generation, and the atomicity contract.
+  const analytics::IngestResult result =
+      pinned.census->ingest(pinned.worker, pinned.matcher, batch);
+  if (analytics_ingest_records_) {
+    analytics_ingest_records_->add(static_cast<std::int64_t>(result.records));
+  }
+  if (analytics_ingest_dropped_ && result.dropped > 0) {
+    analytics_ingest_dropped_->add(static_cast<std::int64_t>(result.dropped));
+  }
+  if (analytics_hosts_gauge_) {
+    analytics_hosts_gauge_->set(static_cast<double>(pinned.census->unique_hosts()));
+    analytics_sites_gauge_->set(static_cast<double>(pinned.census->sites_formed()));
+    analytics_pairs_gauge_->set(static_cast<double>(pinned.census->reach_pairs()));
+  }
+  const std::size_t frame_begin = begin_ok(out, FrameType::kIngestBatch, id);
+  put_u64(out, pinned.generation);
+  put_u32(out, result.records);
+  end_frame(out, frame_begin);
+}
+
+void Server::run_census(const Pinned& pinned, std::span<const std::uint8_t> payload,
+                        std::uint32_t id, std::vector<std::uint8_t>& out) {
+  if (!pinned.census) {
+    append_status(out, FrameType::kCensusQuery, id, Status::kUnsupported, "analytics.none");
+    return;
+  }
+  std::uint32_t top_k = 0;
+  parse_census_request(payload, top_k);
+  analytics::CensusSnapshot snap = pinned.census->snapshot(top_k);
+  WireCensus wire;
+  wire.generation = pinned.generation;
+  wire.records = snap.records;
+  wire.first_party = snap.first_party;
+  wire.third_party = snap.third_party;
+  wire.unique_hosts = snap.unique_hosts;
+  wire.sites_formed = snap.sites_formed;
+  wire.misbound_hosts = snap.misbound_hosts;
+  wire.dropped = snap.dropped;
+  wire.first_timestamp_ms = snap.first_timestamp_ms;
+  wire.last_timestamp_ms = snap.last_timestamp_ms;
+  wire.state_bytes = snap.state_bytes;
+  wire.etlds.reserve(snap.etlds.size());
+  for (auto& row : snap.etlds) {
+    wire.etlds.push_back({std::move(row.etld), row.misbound});
+  }
+  wire.trackers.reserve(snap.trackers.size());
+  for (auto& row : snap.trackers) {
+    wire.trackers.push_back(
+        {std::move(row.domain), row.requests, row.requests_err, row.reach, row.reach_err});
+  }
+  const std::size_t frame_begin = begin_ok(out, FrameType::kCensusQuery, id);
+  put_census(out, wire);
+  end_frame(out, frame_begin);
+  census_queries_total_.fetch_add(1, std::memory_order_relaxed);
+  if (analytics_census_queries_) analytics_census_queries_->add();
 }
 
 // --- completions (worker -> loop handoff) -----------------------------------
@@ -1760,7 +1282,7 @@ void Server::drain_completions() {
       if (conn.inflight > 0) --conn.inflight;
       conn.out.insert(conn.out.end(), completion.frame.begin(), completion.frame.end());
       conn.last_activity = std::chrono::steady_clock::now();
-      observe_latency(completion.request_type, completion.t0);
+      observe_since(completion.latency, completion.t0);
       if (!flush_writes(conn)) close_connection(completion.conn_id);
     }
     release_buffer(std::move(completion.frame));

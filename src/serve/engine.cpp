@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "psl/obs/span.hpp"
-#include "psl/psl/match.hpp"
 
 namespace psl::serve {
 
@@ -238,24 +237,12 @@ util::Result<std::future<R>> submit_typed(Engine& engine, Work work) {
 
 }  // namespace
 
-// --- single queries ---------------------------------------------------------
+// --- inline queries ---------------------------------------------------------
 
 std::string Engine::registrable_domain(std::string_view host) const {
   const auto state = current();
   if (queries_) queries_->add();
   return std::string(state->matcher.match_view(host).registrable_domain);
-}
-
-bool Engine::same_site(std::string_view a, std::string_view b) const {
-  const auto state = current();
-  if (queries_) queries_->add();
-  return psl::same_site(state->matcher, a, b);
-}
-
-Match Engine::match(std::string_view host) const {
-  const auto state = current();
-  if (queries_) queries_->add();
-  return state->matcher.match(host);
 }
 
 // --- batched queries ---------------------------------------------------------

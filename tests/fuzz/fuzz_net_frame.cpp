@@ -13,12 +13,18 @@
 //   - the batch-request parsers accept or reject emitted payloads without
 //     reading out of bounds; accepted batches contain only views into the
 //     payload
+//   - decode_datagram (the UDP path) accepts exactly the buffers a fresh
+//     FrameDecoder(kUdpMaxDatagramBytes), fed the whole buffer, turns into
+//     one frame with nothing left buffered, and decodes the same header and
+//     payload bytes — checked on the raw input and on near-valid frames
 //
 // Chunked re-feeding is the point: the first input byte seeds the chunk
 // size pattern so coverage includes 1-byte drip feeds, header-boundary
 // splits, and whole-buffer gulps of the same stream.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -62,6 +68,32 @@ void check_emitted_frame(const psl::net::Frame& frame) {
   }
 }
 
+/// Differential check of the two header paths: the datagram decoder must
+/// agree with a stream decoder fed the same bytes in one piece.
+void check_datagram(std::span<const std::uint8_t> bytes) {
+  psl::net::Frame datagram;
+  const bool accepted = psl::net::decode_datagram(bytes, datagram);
+
+  psl::net::FrameDecoder stream(psl::net::kUdpMaxDatagramBytes);
+  stream.feed(bytes);
+  psl::net::Frame streamed;
+  const bool one_frame =
+      stream.next(streamed) == psl::net::FrameDecoder::Next::kFrame && stream.buffered() == 0;
+  if (accepted != one_frame) __builtin_trap();
+  if (!accepted) return;
+
+  const psl::net::FrameHeader& a = datagram.header;
+  const psl::net::FrameHeader& b = streamed.header;
+  if (a.version != b.version || a.type != b.type || a.flags != b.flags || a.id != b.id ||
+      a.payload_len != b.payload_len) {
+    __builtin_trap();
+  }
+  if (!std::equal(datagram.payload.begin(), datagram.payload.end(), streamed.payload.begin(),
+                  streamed.payload.end())) {
+    __builtin_trap();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -69,6 +101,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const std::uint8_t chunk_seed = data[0];
   ++data;
   --size;
+
+  check_datagram({data, size});
 
   psl::net::FrameDecoder decoder(kFuzzMaxFrame);
   psl::net::Frame frame;
@@ -137,6 +171,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       if (out.payload[i] != data[5 + i]) __builtin_trap();
     }
     if (rt.next(out) != psl::net::FrameDecoder::Next::kNeedMore) __builtin_trap();
+
+    // Near-valid datagrams reach the accept side of the differential: the
+    // frame itself, one fuzz-chosen header byte overwritten, and the frame
+    // cut short or padded by one byte.
+    check_datagram(encoded);
+    std::vector<std::uint8_t> mutated = encoded;
+    mutated[data[3] % psl::net::kHeaderBytes] = data[4];
+    check_datagram(mutated);
+    check_datagram({encoded.data(), encoded.size() - 1});
+    encoded.push_back(data[0]);
+    check_datagram(encoded);
   }
   return 0;
 }

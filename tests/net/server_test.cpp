@@ -1,12 +1,11 @@
 // psl::net::Server + Client over real loopback sockets: round trips for
 // every request type, wire-level backpressure (reject, never hang), frame-
 // vs payload-level violation handling, keep-last-good reloads over the
-// wire, timeouts, max-connection shedding, all three poller backends
-// (epoll/poll always, io_uring when the kernel can run it), the UDP fast
-// path and its datagram contract, SO_REUSEPORT load-balancing across two
-// servers on one port, graceful drain, and reload-under-load with
-// concurrent clients (the TSan CI job runs this suite via
-// `ctest -R '^(Serve|Net)'`).
+// wire, timeouts, max-connection shedding, both poller backends (epoll
+// and poll), the UDP fast path and its datagram contract, SO_REUSEPORT
+// load-balancing across two servers on one port, graceful drain, and
+// reload-under-load with concurrent clients (the TSan CI job runs this
+// suite via `ctest -R '^(Serve|Net)'`).
 #include "psl/net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -459,7 +458,7 @@ TEST(NetServerTest, WriteStalledPeerIsTimedOutNotSpunOn) {
 TEST(NetServerTest, PollBackendServesIdentically) {
   serve::Engine engine(snap_of(list_a()), {.threads = 2});
   ServerOptions options;
-  options.force_poll = true;  // pin the portable poll() backend
+  options.backend = Backend::kPoll;  // pin the portable poll() backend
   Server server(engine, options);
   auto port = server.start();
   ASSERT_TRUE(port.ok());
@@ -743,64 +742,6 @@ TEST(NetServerTest, BackendNameReportsTheActiveBackend) {
   }
 }
 
-TEST(NetServerTest, IoUringBackendServesIdentically) {
-  if (!Server::io_uring_supported()) {
-    GTEST_SKIP() << "kernel cannot run io_uring";
-  }
-  serve::Engine engine(snap_of(list_a()), {.threads = 2});
-  ServerOptions options;
-  options.backend = Backend::kIoUring;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok()) << port.error().message;
-  EXPECT_STREQ(server.backend_name(), "io_uring");
-
-  Client client = connect_or_die(*port);
-  EXPECT_TRUE(client.ping().ok());
-  auto domains = client.registrable_domains({"a.b.example.com", "x.co.uk"});
-  ASSERT_TRUE(domains.ok()) << domains.error().message;
-  EXPECT_EQ(*domains, (std::vector<std::string>{"example.com", "x.co.uk"}));
-
-  // Reload over the wire and read the flipped answer on the SAME connection,
-  // so completion wakeups (worker -> ring) are exercised too.
-  auto good = client.reload(snapshot_bytes(list_b()));
-  ASSERT_TRUE(good.ok()) << good.error().message;
-  EXPECT_EQ(*good, 2u);
-  auto after = client.registrable_domains({"shop1.myshopify.com"});
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)[0], "shop1.myshopify.com");
-
-  // Payload-level violations answer kMalformed and keep the connection,
-  // identical to the epoll backend.
-  RawConn raw(*port);
-  std::vector<std::uint8_t> payload;
-  put_u32(payload, 5);  // same_site_batch claiming 5 pairs, no data
-  std::vector<std::uint8_t> wire;
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kSameSiteBatch), 44, payload);
-  raw.send_bytes(wire);
-  Frame response;
-  std::vector<std::uint8_t> storage;
-  ASSERT_TRUE(raw.recv_frame(response, storage));
-  EXPECT_EQ(response.payload[0], static_cast<std::uint8_t>(Status::kMalformed));
-}
-
-TEST(NetServerTest, IoUringIsStrictInTheLibraryWhenUnsupported) {
-  if (Server::io_uring_supported()) {
-    GTEST_SKIP() << "kernel supports io_uring; the strict-failure path is unreachable";
-  }
-  // An explicit backend request must fail loudly, never silently downgrade —
-  // graceful fallback is the daemon's policy (psld resolve_backend), not the
-  // library's.
-  serve::Engine engine(snap_of(list_a()), {.threads = 1});
-  ServerOptions options;
-  options.backend = Backend::kIoUring;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_FALSE(port.ok());
-  EXPECT_EQ(port.error().code, "net.backend");
-  EXPECT_FALSE(server.running());
-}
-
 TEST(NetServerTest, UdpFastPathRoundTrips) {
   obs::MetricsRegistry metrics;
   serve::Engine engine(snap_of(list_a()), {.threads = 2, .metrics = &metrics});
@@ -838,6 +779,8 @@ TEST(NetServerTest, UdpFastPathRoundTrips) {
   ASSERT_TRUE(stats.ok()) << stats.error().message;
   EXPECT_EQ(stats->generation, 1u);
   EXPECT_EQ(stats->rule_count, 4u);
+  // Each host and pair answered over UDP counts once: 3 + 1 hosts, 2 pairs.
+  EXPECT_EQ(metrics.counter("serve.queries").value(), 6);
 
   // No push channel over datagrams — that is a documented contract, not a
   // timeout.

@@ -61,6 +61,12 @@ struct Case {
   const char* expected;  // nullptr = null
 };
 
+// Prints a case by content, not by its pointer bytes, so the discovered
+// test names are the same on every build and every run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.domain << " -> " << (c.expected == nullptr ? "null" : c.expected);
+}
+
 class OfficialCaseTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(OfficialCaseTest, CheckPublicSuffix) {

@@ -45,10 +45,18 @@ TEST(ServeEngineTest, SingleQueries) {
   EXPECT_EQ(engine.metadata().rule_count, 3u);
   EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "example.com");
   EXPECT_EQ(engine.registrable_domain("co.uk"), "");  // itself a suffix
-  EXPECT_TRUE(engine.same_site("a.example.com", "b.example.com"));
-  EXPECT_FALSE(engine.same_site("one.com", "two.com"));
-  const Match m = engine.match("shop.example.co.uk");
-  EXPECT_EQ(m.registrable_domain, "example.co.uk");
+  engine.run_inline([](const Engine::Pinned& pinned) {
+    EXPECT_EQ(pinned.cache, nullptr);  // inline pins never touch a worker cache
+    EXPECT_EQ(pinned.generation, 1u);
+    EXPECT_TRUE(pinned.same_site("a.example.com", "b.example.com"));
+    EXPECT_FALSE(pinned.same_site("one.com", "two.com"));
+    const std::vector<std::string_view> hosts = {"shop.example.co.uk"};
+    std::vector<MatchView> views(hosts.size());
+    pinned.match_batch(hosts, views);
+    EXPECT_EQ(views[0].registrable_domain, "example.co.uk");
+  });
+  EXPECT_EQ(engine.run_inline([](const Engine::Pinned& pinned) { return pinned.meta.rule_count; }),
+            3u);
 }
 
 TEST(ServeEngineTest, BatchedQueries) {
@@ -249,7 +257,9 @@ TEST(ServeEngineTest, ConcurrentMixedQueriesDuringReloads) {
     while (!stop.load(std::memory_order_acquire)) {
       const std::string rd = engine.registrable_domain("a.b.example.com");
       ASSERT_TRUE(rd == "example.com" || rd == "b.example.com") << rd;
-      engine.same_site("a.example.com", "b.example.com");
+      engine.run_inline([](const Engine::Pinned& pinned) {
+        return pinned.same_site("a.example.com", "b.example.com");
+      });
     }
   });
 
