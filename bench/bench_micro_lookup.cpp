@@ -3,7 +3,7 @@
 // DESIGN.md ablation #1, extended for the query-acceleration stack:
 // reversed-label trie (psl::List) vs. hash-set per-depth probing
 // (psl::FlatMatcher) vs. the arena-compiled matcher (psl::CompiledMatcher),
-// single match_view vs. the interleaved prefetching match_batch vs.
+// single match_view vs. match_batch (a match_view loop) vs.
 // batched+cached (match_batch behind a RegDomainCache, the serve-layer hot
 // path) — over the full list, a realistic uniform host mix, and a
 // Zipf-skewed stream. Every match benchmark also reports heap allocations
@@ -225,7 +225,7 @@ std::size_t cached_batch_lookup(const psl::CompiledMatcher& matcher,
 constexpr std::size_t kBenchBatch = 64;
 
 void BM_CompiledMatchBatch(benchmark::State& state) {
-  // The interleaved + prefetched batch walk over the uniform mix. One
+  // The batch entry point over the uniform mix. One
   // "iteration" = one batch of kBenchBatch hosts; allocs/op must print 0.
   const psl::CompiledMatcher matcher(full_list());
   const auto& hosts = host_mix();

@@ -45,9 +45,6 @@ namespace psl {
 namespace snapshot {
 struct Access;  // serialization backdoor, defined in src/serve/snapshot.cpp
 }
-namespace updater {
-struct ArenaAccess;  // delta-recompile backdoor, defined in src/updater/delta_compiler.cpp
-}
 
 class CompiledMatcher {
  public:
@@ -70,13 +67,10 @@ class CompiledMatcher {
 
   /// Batched zero-allocation match: out[i] = match_view(hosts[i]) for the
   /// first min(hosts.size(), out.size()) hosts, which is also the return
-  /// value. Semantically identical to per-host match_view (both run the one
-  /// shared walk in psl/detail/match_walk.hpp); the batched driver earns its
-  /// keep by interleaving the walks across the batch in rounds and issuing a
-  /// software prefetch for each walk's next child range one round before its
-  /// binary search needs it — at serving batch sizes the trie's cache misses
-  /// overlap instead of serializing. All views point into the caller's host
-  /// buffers, which must outlive their use; no allocation on any path.
+  /// value, computed by exactly that loop (the arena fits in cache, so
+  /// interleaving walks behind software prefetch measured slower). All views
+  /// point into the caller's host buffers, which must outlive their use; no
+  /// allocation on any path.
   std::size_t match_batch(std::span<const std::string_view> hosts,
                           std::span<MatchView> out) const noexcept;
 
@@ -104,7 +98,6 @@ class CompiledMatcher {
 
  private:
   friend struct snapshot::Access;
-  friend struct updater::ArenaAccess;
 
   /// Raw matcher for the snapshot loader: spans are pointed at an external
   /// buffer (validated first; see psl::snapshot), owned storage stays empty.

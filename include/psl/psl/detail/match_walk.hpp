@@ -8,25 +8,8 @@
 // bookkeeping, degenerate-host handling, early termination, and the
 // MatchView epilogue. Equivalence across matchers is therefore structural:
 // they cannot disagree on algorithm, only on storage (which the equivalence
-// suite still cross-checks end to end).
-//
-// The walk is factored as a resumable state machine (MatchWalkState:
-// init / step-one-label / finish) rather than a closed loop so that ONE
-// implementation serves both drivers:
-//
-//   * match_walk() — the classic sequential form: init, step until done,
-//     finish. This is what match_view() on every matcher runs.
-//   * CompiledMatcher::match_batch() — interleaves many states in rounds,
-//     advancing each host one label per round and issuing a software
-//     prefetch for the child range the NEXT round will binary-search. The
-//     batched walk cannot diverge from the single walk because there is no
-//     second copy of the algorithm to diverge.
-//
-// To make that pipelining possible, each state scans (and FNV-hashes) one
-// label AHEAD of the one it consumes: init() scans the rightmost label, and
-// every step() consumes the scanned label, walks the cursor, then scans the
-// next. A whole batch therefore has its first-round labels hashed up front
-// before any trie line is touched.
+// suite still cross-checks end to end). Batched matching
+// (CompiledMatcher::match_batch) is a plain loop over this walk.
 //
 // Cursor requirements (all const-cheap, called in the hot loop):
 //   bool descend(std::string_view label, std::uint32_t hash)
@@ -67,18 +50,18 @@ inline std::uint32_t fnv1a_reverse(std::string_view label) noexcept {
   return h;
 }
 
-/// One resumable right-to-left walk. Lifecycle: init() once, step() until it
-/// returns false, finish() for the MatchView. After init() returns false the
-/// walk is already complete (degenerate host or bare kMaxMatchDepth guard)
-/// and finish() is still valid.
+/// Match `host` (one trailing dot tolerated) against the trie behind
+/// `cursor`. Degenerate hosts — empty, or an empty rightmost label: "",
+/// ".", "a.." — have no suffix at all and yield an empty MatchView.
 template <typename Cursor>
-struct MatchWalkState {
-  Cursor cursor;
-  std::string_view host;  ///< trailing dot already stripped
+MatchView match_walk(Cursor cursor, std::string_view host) {
+  MatchView out;
+  if (!host.empty() && host.back() == '.') host.remove_suffix(1);
+  if (host.empty() || host.back() == '.') return out;
 
-  std::size_t starts[kMaxMatchDepth];  ///< starts[d] = offset of d-label suffix
-
-  // Prevailing-rule bookkeeping (identical to the classic loop's locals).
+  // starts[d] = offset of the d-label suffix. Only entries up to the final
+  // depth are ever written or read, so the array needs no clearing.
+  std::size_t starts[kMaxMatchDepth];
   std::size_t best_len = 1;  // the implicit "*" rule
   bool explicit_rule = false;
   Section best_section = Section::kIcann;
@@ -86,76 +69,22 @@ struct MatchWalkState {
   std::size_t exception_depth = 0;
   bool walking = true;
   std::size_t depth = 0;
-  bool degenerate = false;
 
-  // The label scanned ahead (consumed by the next step).
-  std::size_t next_start = 0;
-  std::size_t next_end = 0;
-  std::uint32_t next_hash = 0;
-  std::size_t next_dot = 0;  ///< offset of the dot left of it; npos at host start
-
-  static constexpr std::size_t npos = std::string_view::npos;
-
-  /// Scan the label ending at `label_end` (exclusive): find its start and
-  /// FNV-hash its bytes (reverse order, matching fnv1a_reverse) in one
-  /// backward pass.
-  void scan_label(std::size_t label_end) noexcept {
-    std::uint32_t h = 2166136261u;
-    std::size_t pos = label_end;
-    while (pos > 0 && host[pos - 1] != '.') {
-      h ^= static_cast<unsigned char>(host[pos - 1]);
-      h *= 16777619u;
-      --pos;
+  // The depth bound is unreachable for DNS-shaped hosts.
+  for (std::size_t end = host.size(); depth + 1 < kMaxMatchDepth; end = starts[depth] - 1) {
+    // Scan the label ending at `end` leftwards, FNV-hashing it in the same
+    // (reverse) byte order as fnv1a_reverse.
+    std::uint32_t hash = 2166136261u;
+    std::size_t start = end;
+    while (start > 0 && host[start - 1] != '.') {
+      hash ^= static_cast<unsigned char>(host[start - 1]);
+      hash *= 16777619u;
+      --start;
     }
-    next_start = pos;
-    next_end = label_end;
-    next_hash = h;
-    next_dot = pos == 0 ? npos : pos - 1;
-  }
-
-  /// Prepare the walk for `raw_host`. Returns true when there is at least
-  /// one label to step through; false when the host is degenerate (empty,
-  /// or its rightmost label is empty: "", ".", "a..") — no suffix at all,
-  /// no last label for even the implicit "*" to name.
-  ///
-  /// init() resets every bookkeeping field itself (the `starts` array needs
-  /// no clearing — only entries up to the walk's depth are ever read), so a
-  /// state object is reusable across hosts without value-initialization.
-  /// That matters in match_batch: re-zeroing kMaxMatchDepth offsets per
-  /// host would cost more than the walk it prepares.
-  bool init(Cursor c, std::string_view raw_host) noexcept {
-    cursor = c;
-    host = raw_host;
-    best_len = 1;
-    explicit_rule = false;
-    best_section = Section::kIcann;
-    best_kind = RuleKind::kNormal;
-    exception_depth = 0;
-    walking = true;
-    depth = 0;
-    degenerate = false;
-    if (!host.empty() && host.back() == '.') host.remove_suffix(1);
-    if (host.empty() || host.back() == '.') {
-      degenerate = true;
-      return false;
-    }
-    scan_label(host.size());
-    return true;
-  }
-
-  /// Consume the scanned label (one trie descend + rule bookkeeping), then
-  /// scan the next. Returns false once the walk is complete.
-  bool step() noexcept {
-    ++depth;
-    if (depth >= kMaxMatchDepth) {  // unreachable for DNS-shaped hosts
-      --depth;
-      return false;
-    }
-    starts[depth] = next_start;
+    starts[++depth] = start;
 
     if (walking) {
-      const std::string_view label = host.substr(next_start, next_end - next_start);
-      if (label.empty()) {
+      if (start == end) {
         walking = false;  // malformed host ("a..b"); the walk stops here
       } else {
         // A wildcard on the current node covers this label, whatever it is.
@@ -165,7 +94,7 @@ struct MatchWalkState {
           best_kind = RuleKind::kWildcard;
           explicit_rule = true;
         }
-        if (!cursor.descend(label, next_hash)) {
+        if (!cursor.descend(host.substr(start, end - start), hash)) {
           walking = false;
         } else {
           if (cursor.has_normal() && depth >= best_len) {
@@ -184,51 +113,33 @@ struct MatchWalkState {
         }
       }
     }
-    if (!walking) {
-      const std::size_t needed = (exception_depth > 0 ? exception_depth - 1 : best_len) + 1;
-      if (depth >= needed) return false;
-    }
-    if (next_dot == npos) return false;
-    scan_label(next_dot);
-    return true;
+    // Once the trie is exhausted, only the labels up to the registrable
+    // domain (public suffix + 1) are still needed.
+    if (!walking && depth > (exception_depth > 0 ? exception_depth - 1 : best_len)) break;
+    if (start == 0) break;  // leftmost label consumed
   }
 
-  /// The MatchView epilogue over the final bookkeeping.
-  MatchView finish() const noexcept {
-    MatchView out;
-    if (degenerate) return out;
-    const std::size_t ps_len = exception_depth > 0 ? exception_depth - 1 : best_len;
-    out.public_suffix = ps_len == 0 ? std::string_view{} : host.substr(starts[ps_len]);
-    out.registrable_domain = depth > ps_len ? host.substr(starts[ps_len + 1]) : std::string_view{};
-    out.matched_explicit_rule = explicit_rule;
-    out.section = best_section;
-    out.rule_labels = ps_len;
-    if (explicit_rule) {
-      if (exception_depth > 0) {
-        out.rule_kind = RuleKind::kException;
-        out.rule_span = host.substr(starts[exception_depth]);
-      } else if (best_kind == RuleKind::kWildcard) {
-        out.rule_kind = RuleKind::kWildcard;
-        // The wildcard rule's stored labels are the suffix minus its leftmost
-        // (the '*') label.
-        out.rule_span = best_len > 1 ? host.substr(starts[best_len - 1]) : std::string_view{};
-      } else {
-        out.rule_kind = RuleKind::kNormal;
-        out.rule_span = out.public_suffix;
-      }
-    }
-    return out;
-  }
-};
-
-template <typename Cursor>
-MatchView match_walk(Cursor cursor, std::string_view host) {
-  MatchWalkState<Cursor> state;
-  if (state.init(cursor, host)) {
-    while (state.step()) {
+  const std::size_t ps_len = exception_depth > 0 ? exception_depth - 1 : best_len;
+  out.public_suffix = ps_len == 0 ? std::string_view{} : host.substr(starts[ps_len]);
+  out.registrable_domain = depth > ps_len ? host.substr(starts[ps_len + 1]) : std::string_view{};
+  out.matched_explicit_rule = explicit_rule;
+  out.section = best_section;
+  out.rule_labels = ps_len;
+  if (explicit_rule) {
+    if (exception_depth > 0) {
+      out.rule_kind = RuleKind::kException;
+      out.rule_span = host.substr(starts[exception_depth]);
+    } else if (best_kind == RuleKind::kWildcard) {
+      out.rule_kind = RuleKind::kWildcard;
+      // The wildcard rule's stored labels are the suffix minus its leftmost
+      // (the '*') label.
+      out.rule_span = best_len > 1 ? host.substr(starts[best_len - 1]) : std::string_view{};
+    } else {
+      out.rule_kind = RuleKind::kNormal;
+      out.rule_span = out.public_suffix;
     }
   }
-  return state.finish();
+  return out;
 }
 
 }  // namespace psl::detail

@@ -40,7 +40,8 @@
 //     cold caches, old readers drain on the old ones, and a stale boundary
 //     can never be served across a reload. Batched jobs reach the cached
 //     path through Pinned's helpers; cache hits skip the trie entirely,
-//     misses fall through to CompiledMatcher::match_batch.
+//     misses fall through to CompiledMatcher::match_batch (one match_view
+//     walk per host).
 //   * Instrumentation (when given a MetricsRegistry): counters
 //     serve.queries / serve.batches / serve.rejected /
 //     serve.reload.success / serve.reload.failure / serve.cache.hit /
@@ -83,10 +84,6 @@ namespace psl::store {
 class StoreView;
 struct DivergenceRange;
 }  // namespace psl::store
-
-namespace psl::updater {
-class DeltaCompiler;
-}  // namespace psl::updater
 
 namespace psl::serve {
 
@@ -183,7 +180,7 @@ class Engine {
   /// the call: the inline twin of submit_job, with the same Pinned helpers
   /// and the same count_queries() duty. The pin carries no cache (worker
   /// caches are single-writer and this thread is no worker), so cache-aware
-  /// helpers walk the trie; match_batch keeps its interleaved walk.
+  /// helpers walk the trie, exactly as match_batch does.
   /// Returns whatever `fn` returns.
   template <typename Fn>
   decltype(auto) run_inline(Fn&& fn) const {
@@ -248,24 +245,6 @@ class Engine {
   using GenerationListener = std::function<void(std::uint64_t generation,
                                                 const snapshot::Metadata& meta)>;
   void set_generation_listener(GenerationListener listener);
-
-  // --- delta reload (incremental recompile; implemented in src/updater so
-  // --- psl_serve does not link psl_updater — callers needing these link
-  // --- psl_updater, as bench_update and the tests do) ---------------------
-
-  /// Seed the delta-recompile pipeline: keep `list` and a persistent
-  /// updater::DeltaCompiler alongside the engine, compile, and swap.
-  /// Returns the new generation. When meta.rule_count is 0 it is filled
-  /// from the list's rule count.
-  std::uint64_t load_list(List list, snapshot::Metadata meta = {});
-  /// Incremental reload: diff `newer` against the list most recently given
-  /// to load_list/reload_delta, patch only the affected arena subtries
-  /// (O(diff) — see updater::DeltaCompiler), and swap. Errors:
-  /// "serve.no-delta-state" when load_list was never called. The
-  /// delta-compiled arena is structurally equivalent to a from-scratch
-  /// compile of `newer` (the equivalence contract DeltaCompiler's tests
-  /// sweep across the history corpus).
-  util::Result<std::uint64_t> reload_delta(List newer, snapshot::Metadata meta = {});
 
   // --- multi-version store (time-travel; implemented in src/store so
   // --- psl_serve does not link psl_store — callers needing these link
@@ -343,12 +322,6 @@ class Engine {
 
   mutable std::mutex store_mutex_;  ///< held only to copy/replace store_
   std::shared_ptr<const store::StoreView> store_;
-
-  /// Delta-reload state (persistent DeltaCompiler + the list it mirrors),
-  /// defined in src/updater/engine_delta.cpp. Guarded by delta_mutex_.
-  struct DeltaState;
-  std::mutex delta_mutex_;
-  std::shared_ptr<DeltaState> delta_;
 
   std::mutex listener_mutex_;  ///< guards generation_listener_
   GenerationListener generation_listener_;

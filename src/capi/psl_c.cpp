@@ -19,8 +19,8 @@
 
 struct pslh_ctx {
   psl::List list;
-  /// Arena-compiled mirror of `list`: batch entry points walk its
-  /// interleaved match_batch instead of one trie walk per call.
+  /// Arena-compiled mirror of `list`: batch entry points walk its arena
+  /// (match_batch) rather than the pointer trie behind `list`.
   psl::CompiledMatcher matcher;
 
   explicit pslh_ctx(psl::List l) : list(std::move(l)), matcher(list) {}
@@ -117,9 +117,9 @@ pslh_status pslh_same_site_batch(const pslh_ctx_t* ctx, const char* const* a,
   for (size_t i = 0; i < count; ++i) {
     if (a[i] == nullptr || b[i] == nullptr) return PSLH_ERROR;
   }
-  // Each side of the pair list rides one interleaved batch walk; the packed
+  // Each side of the pair list rides one reg_domain_batch call; the packed
   // keys re-attach to the caller's strings, so the predicate below is the
-  // psl::same_site contract evaluated without per-pair trie walks.
+  // psl::same_site contract evaluated on 8-byte boundaries.
   std::vector<std::string_view> lhs(count), rhs(count);
   for (size_t i = 0; i < count; ++i) {
     lhs[i] = a[i];

@@ -1055,7 +1055,7 @@ void Server::run_match(const Pinned& pinned, std::span<const std::uint8_t> paylo
   thread_local std::vector<MatchView> views;
   parse_match_request(payload, hosts);
   views.resize(hosts.size());
-  pinned.match_batch(hosts, views);  // interleaved + prefetched walk
+  pinned.match_batch(hosts, views);
   const std::size_t frame_begin = begin_ok(out, FrameType::kMatchBatch, id);
   put_match_views(out, views);
   end_frame(out, frame_begin);

@@ -205,82 +205,17 @@ MatchView CompiledMatcher::match_view(std::string_view host) const noexcept {
   return detail::match_walk(Cursor{this}, host);
 }
 
-namespace {
-
-/// Hosts interleaved per batch round. Each in-flight walk carries a
-/// kMaxMatchDepth offset stack, so this bounds the driver's stack frame
-/// (16 x ~2 KiB); it also caps the useful prefetch distance — by the time a
-/// round returns to host i, its prefetched child range has had 15 other
-/// binary searches' worth of time to arrive.
-constexpr std::size_t kBatchInterleave = 16;
-
-}  // namespace
-
 std::size_t CompiledMatcher::match_batch(std::span<const std::string_view> hosts,
                                          std::span<MatchView> out) const noexcept {
   const std::size_t n = std::min(hosts.size(), out.size());
-  detail::MatchWalkState<Cursor> walks[kBatchInterleave];
-
-  const auto prefetch_children = [this](std::uint32_t node) {
-    const Node& nd = nodes_[node];
-    if (nd.children_begin == nd.children_end) return;
-    const std::uint32_t* const base = child_hashes_.data() + nd.children_begin;
-    const std::size_t len = nd.children_end - nd.children_begin;
-    // The binary search's first probes: the range midpoint, then one line at
-    // each end. 16 hashes share a cache line, so three touches cover every
-    // range the real list produces below the root.
-    __builtin_prefetch(base + len / 2, 0, 1);
-    __builtin_prefetch(base, 0, 1);
-    __builtin_prefetch(base + (len - 1), 0, 1);
-  };
-
-  for (std::size_t batch_start = 0; batch_start < n; batch_start += kBatchInterleave) {
-    const std::size_t batch = std::min(kBatchInterleave, n - batch_start);
-    std::uint32_t live = 0;
-
-    // Up-front pass: every host's rightmost label is scanned and hashed
-    // before any walk consumes trie lines, and the root's child ranges are
-    // pulled in for round one.
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (walks[i].init(Cursor{this}, hosts[batch_start + i])) {
-        live |= 1u << i;
-        prefetch_children(0);
-      } else {
-        out[batch_start + i] = walks[i].finish();  // degenerate: empty view
-      }
-    }
-
-    // Interleaved rounds: advance each live walk one label, then prefetch
-    // the child range its NEXT descend will binary-search while the other
-    // walks run. Iterating the live mask bit-by-bit keeps late rounds (most
-    // hosts done, a few deep ones still walking) proportional to the
-    // survivors, not the batch width.
-    while (live != 0) {
-      for (std::uint32_t round = live; round != 0; round &= round - 1) {
-        const auto i = static_cast<std::size_t>(__builtin_ctz(round));
-        if (walks[i].step()) {
-          prefetch_children(walks[i].cursor.node);
-        } else {
-          live &= ~(1u << i);
-          out[batch_start + i] = walks[i].finish();
-        }
-      }
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = match_view(hosts[i]);
   return n;
 }
 
 std::size_t CompiledMatcher::reg_domain_batch(std::span<const std::string_view> hosts,
                                               std::span<RegDomainKey> out) const noexcept {
   const std::size_t n = std::min(hosts.size(), out.size());
-  MatchView views[kBatchInterleave];
-  for (std::size_t base = 0; base < n; base += kBatchInterleave) {
-    const std::size_t m = std::min(kBatchInterleave, n - base);
-    match_batch(hosts.subspan(base, m), {views, m});
-    for (std::size_t i = 0; i < m; ++i) {
-      out[base + i] = RegDomainKey::of(hosts[base + i], views[i]);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = RegDomainKey::of(hosts[i], match_view(hosts[i]));
   return n;
 }
 

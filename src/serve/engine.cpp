@@ -280,7 +280,7 @@ util::Result<std::future<std::vector<Match>>> Engine::submit_match(
       *this, [this, hosts = std::move(hosts)](const Pinned& pinned) {
         std::vector<std::string_view> views(hosts.begin(), hosts.end());
         std::vector<MatchView> matches(hosts.size());
-        pinned.match_batch(views, matches);  // interleaved + prefetched walk
+        pinned.match_batch(views, matches);
         std::vector<Match> out;
         out.reserve(hosts.size());
         for (const MatchView& m : matches) out.push_back(m.to_match());

@@ -1,14 +1,14 @@
 // Differential suite over all four matcher paths: the reversed-label trie
 // (List::match), the per-depth hash-probing baseline (FlatMatcher), the
 // arena-compiled matcher (CompiledMatcher::match_view), and the batched
-// interleaved walk (CompiledMatcher::match_batch). All implement the
+// entry point (CompiledMatcher::match_batch). All implement the
 // publicsuffix.org algorithm and must agree *exactly* — public suffix,
 // registrable domain, explicitness, section, rule-label count, and the
 // canonical prevailing-rule text — on every input: generated hosts,
 // checkPublicSuffix-style fixture cases, and hostile degenerate strings.
-// The batched walk shares MatchWalkState with the single walk, so these
-// checks guard the driver (interleaving, prefetch, chunking), not a second
-// algorithm.
+// All of them drive the one walk in psl/detail/match_walk.hpp, so these
+// checks guard each matcher's trie storage and the batch loop's indexing,
+// not a second algorithm.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -241,11 +241,10 @@ TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
 }
 
 TEST(MatcherEquivalenceTest, BatchedMatchAgreesOnWholeCorpus) {
-  // One match_batch call over hundreds of hosts — many interleave chunks,
-  // with degenerate hosts salted throughout so every chunk mixes live walks
-  // with immediately-finished ones. Each out[i] must equal the sequential
-  // walk's view, and reg_domain_batch's packed keys must re-attach to the
-  // query strings exactly.
+  // One match_batch call over hundreds of hosts, with degenerate hosts
+  // salted throughout. Each out[i] must equal the sequential walk's view,
+  // and reg_domain_batch's packed keys must re-attach to the query strings
+  // exactly.
   const List list = random_list(9001, 140);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(9001);

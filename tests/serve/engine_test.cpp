@@ -106,6 +106,30 @@ TEST(ServeEngineTest, SwapIsVisibleAndBumpsGeneration) {
   EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
 }
 
+TEST(ServeEngineTest, GenerationListenerFiresAfterEverySwapInOrder) {
+  Engine engine(snap_of(list_a()), {.threads = 1});
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (generation, rule_count)
+  engine.set_generation_listener(
+      [&seen](std::uint64_t generation, const snapshot::Metadata& meta) {
+        seen.emplace_back(generation, meta.rule_count);
+      });
+
+  engine.reload_list(list_b());
+  engine.swap(snap_of(list_a()));
+  engine.reload_list(parse_list("com\n"));
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], (std::pair<std::uint64_t, std::uint64_t>{2u, 5u}));
+  EXPECT_EQ(seen[1], (std::pair<std::uint64_t, std::uint64_t>{3u, 3u}));
+  EXPECT_EQ(seen[2], (std::pair<std::uint64_t, std::uint64_t>{4u, 1u}));
+
+  // Clearing the listener stops notifications.
+  engine.set_generation_listener(nullptr);
+  engine.reload_list(list_b());
+  EXPECT_EQ(seen.size(), 3u);
+}
+
 TEST(ServeEngineTest, ReloadSnapshotKeepsLastGoodOnFailure) {
   obs::MetricsRegistry metrics;
   Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
