@@ -18,19 +18,18 @@
 //             single-lookup baseline (CI's bench-compare gate).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common.hpp"
+#include "counting_new.hpp"
 #include "psl/history/timeline.hpp"
 #include "psl/psl/compiled_matcher.hpp"
 #include "psl/psl/flat_matcher.hpp"
@@ -39,23 +38,6 @@
 #include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/zipf.hpp"
-
-// --- allocation counting hook -----------------------------------------------
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -97,9 +79,9 @@ const std::vector<std::string>& host_mix() {
 /// Report heap allocations per match alongside throughput.
 class AllocCounter {
  public:
-  AllocCounter() : start_(g_alloc_count.load()) {}
+  AllocCounter() : start_(psl::test_support::allocation_count()) {}
   void report(benchmark::State& state) const {
-    const auto allocs = static_cast<double>(g_alloc_count.load() - start_);
+    const auto allocs = static_cast<double>(psl::test_support::allocation_count() - start_);
     state.counters["allocs/op"] =
         benchmark::Counter(allocs / static_cast<double>(state.iterations()));
   }

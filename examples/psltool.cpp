@@ -373,6 +373,8 @@ int cmd_store_stat(int argc, char** argv) {
               static_cast<unsigned long long>(s.raw_bytes),
               static_cast<unsigned long long>(s.delta_segments),
               static_cast<unsigned long long>(s.delta_bytes));
+  std::printf("  temporal:  %llu bytes (union arena + change points)\n",
+              static_cast<unsigned long long>(s.temporal_bytes));
   std::printf("  newest:    %llu rules\n",
               static_cast<unsigned long long>(
                   (*view)->rule_count((*view)->version_count() - 1)));

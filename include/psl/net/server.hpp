@@ -23,6 +23,11 @@
 //     connection stays healthy. Per-connection write buffers are bounded
 //     too: a connection with more than max_frame_bytes of unflushed output
 //     stops being read until the peer drains it.
+//   * Responses are bounded like requests: an answer whose payload would
+//     exceed max_frame_bytes (a valid batch of long hosts can encode larger
+//     than it arrived) is replaced by a kUnsupported status frame with
+//     detail "response.oversize" — the caller must shrink its batch — and
+//     the connection stays open.
 //   * Frame-level violations (bad magic/version/flags, oversized length)
 //     close the connection — the byte stream cannot be re-synchronized.
 //     Payload-level violations answer Status::kMalformed and keep it open.
@@ -94,7 +99,8 @@ class Poller;  // epoll/poll backend, internal to server.cpp
 enum class Backend : std::uint8_t { kAuto, kEpoll, kPoll };
 
 // UDP frames are bounded by kUdpMaxDatagramBytes (frame.hpp), both
-// directions. A response that would exceed the bound is replaced by a
+// directions. A response that would exceed the bound (or max_frame_bytes,
+// whichever is smaller) is replaced by the same check as TCP's with a
 // kUnsupported status frame with detail "udp.oversize" (the request WAS
 // valid — the caller must shrink its batch); an oversized or truncated
 // request datagram is dropped outright, since a datagram, unlike a stream,
@@ -181,6 +187,12 @@ class Server {
   bool flush_writes(Connection& conn);
   void dispatch_frame(Connection& conn, const Frame& frame);
   void submit(Connection& conn, const Handler& row, const Frame& frame, Clock::time_point t0);
+  /// Run `row` into `out`, then hold the response to the wire bound: a
+  /// payload over max_frame_bytes (datagram: also the datagram bound) is
+  /// replaced by a kUnsupported status. Every TCP and UDP answer runs here.
+  void run_bounded(const Handler& row, const Pinned& pinned, FrameType type,
+                   std::span<const std::uint8_t> payload, std::uint32_t id,
+                   std::vector<std::uint8_t>& out, bool datagram);
   void respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                       std::string_view detail);
   void finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,

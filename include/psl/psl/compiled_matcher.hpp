@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "psl/psl/detail/match_walk.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/psl/match.hpp"
 
@@ -61,9 +62,33 @@ class CompiledMatcher {
   CompiledMatcher& operator=(CompiledMatcher&& other) noexcept;
   ~CompiledMatcher() = default;
 
+  // Rule-presence flags of NodeRules::flags; the matching section bits live
+  // in NodeRules::sections (bit set = kPrivate).
+  enum : std::uint8_t {
+    kHasNormal = 1u << 0,
+    kHasWildcard = 1u << 1,  // set on the PARENT of the '*' label
+    kHasException = 1u << 2,
+  };
+
+  /// The rule bits of one trie node: which rule kinds end there (flags) and
+  /// which of those are PRIVATE-section (sections, a subset of flags).
+  struct NodeRules {
+    std::uint8_t flags = 0;
+    std::uint8_t sections = 0;
+  };
+
   /// Zero-allocation match. `host` must stay alive while the returned
   /// views are used. Tolerates one trailing dot like List::match.
   MatchView match_view(std::string_view host) const noexcept;
+
+  /// The walk over this arena's trie shape, with each node's rule bits read
+  /// from `rules_of(*this, node_index)`; match_view is this with the arena's
+  /// own bits. The walk is the shared detail::match_walk; a node whose bits
+  /// are empty is descended through without changing the answer. psl::store
+  /// keeps one arena over every rule any list version held and answers a
+  /// version by supplying that version's bits. `rules_of` must not throw.
+  template <typename RulesOf>
+  MatchView match_view_with(std::string_view host, const RulesOf& rules_of) const noexcept;
 
   /// Batched zero-allocation match: out[i] = match_view(hosts[i]) for the
   /// first min(hosts.size(), out.size()) hosts, which is also the return
@@ -103,14 +128,6 @@ class CompiledMatcher {
   /// buffer (validated first; see psl::snapshot), owned storage stays empty.
   CompiledMatcher() = default;
 
-  // Rule-presence flags; the matching section bits live in Node::sections
-  // (bit set = kPrivate).
-  enum : std::uint8_t {
-    kHasNormal = 1u << 0,
-    kHasWildcard = 1u << 1,  // set on the PARENT of the '*' label
-    kHasException = 1u << 2,
-  };
-
   struct Node {
     std::uint32_t children_begin = 0;  ///< index into children_
     std::uint32_t children_end = 0;
@@ -131,16 +148,11 @@ class CompiledMatcher {
 
   static constexpr std::uint32_t kNoChild = 0xFFFFFFFFu;
 
-  struct Cursor;  // shared-walk adapter, defined in the .cpp
-
   /// Re-point the arena spans at the owned storage (compile/copy paths).
   void adopt_owned() noexcept;
 
   std::uint32_t find_child(std::uint32_t node, std::string_view label,
                            std::uint32_t hash) const noexcept;
-  Section section_of(std::uint32_t node, std::uint8_t kind_bit) const noexcept {
-    return (nodes_[node].sections & kind_bit) ? Section::kPrivate : Section::kIcann;
-  }
 
   // Owned backing storage (compile path). A matcher loaded from a snapshot
   // leaves these empty: its spans point into the snapshot buffer, kept
@@ -159,6 +171,38 @@ class CompiledMatcher {
   std::span<const Child> children_;
   std::string_view pool_;  ///< deduplicated label bytes
 };
+
+template <typename RulesOf>
+MatchView CompiledMatcher::match_view_with(std::string_view host,
+                                           const RulesOf& rules_of) const noexcept {
+  // Shared-walk adapter (see psl/detail/match_walk.hpp): the trie shape comes
+  // from the arena, the rule bits from `rules_of`. The cursor holds
+  // `rules_of` by value and hands it the arena, so match_view's capture-free
+  // source takes no space and the cursor travels in registers.
+  struct Cursor {
+    const CompiledMatcher* m;
+    [[no_unique_address]] RulesOf rules_of;
+    std::uint32_t node = 0;
+
+    bool descend(std::string_view label, std::uint32_t hash) {
+      const std::uint32_t child = m->find_child(node, label, hash);
+      if (child == kNoChild) return false;
+      node = child;
+      return true;
+    }
+    bool has(std::uint8_t bit) const { return (rules_of(*m, node).flags & bit) != 0; }
+    Section section(std::uint8_t bit) const {
+      return (rules_of(*m, node).sections & bit) ? Section::kPrivate : Section::kIcann;
+    }
+    bool has_wildcard() const { return has(kHasWildcard); }
+    Section wildcard_section() const { return section(kHasWildcard); }
+    bool has_normal() const { return has(kHasNormal); }
+    Section normal_section() const { return section(kHasNormal); }
+    bool has_exception() const { return has(kHasException); }
+    Section exception_section() const { return section(kHasException); }
+  };
+  return detail::match_walk(Cursor{this, rules_of}, host);
+}
 
 static_assert(Matcher<CompiledMatcher>);
 

@@ -13,8 +13,8 @@
 //
 //   offset  size  field
 //        0     8  magic "PSLSTOR1"
-//        8     4  format version (currently 1)
-//       12     4  header size in bytes (96)
+//        8     4  format version (currently 2)
+//       12     4  header size in bytes (120)
 //       16     8  version count V (>= 1)
 //       24     8  segment count S (>= 1)
 //       32     8  segment table offset
@@ -24,10 +24,17 @@
 //       64     8  FNV-1a-64 checksum: version table bytes
 //       72     8  newest source date, days since 1970-01-01 (int64)
 //       80     8  summed byte size of the V standalone snapshots
-//       88     8  FNV-1a-64 checksum over header bytes [0, 88)
+//       88     8  temporal section offset
+//       96     8  temporal section size
+//      104     8  FNV-1a-64 checksum: temporal section bytes
+//      112     8  FNV-1a-64 checksum over header bytes [0, 112)
 //
 //   [ header | segment data (each 8-aligned, zero padding) |
+//     temporal section (8-aligned, zero padding after) |
 //     segment table (S x 40 bytes) | version table (V x 112 bytes) ]
+//
+// Format version 1 files (no temporal section) are rejected with
+// store.bad-version; rebuild them with `psltool store build`.
 //
 // Segment table entry (40 bytes): u64 data offset, u64 stored size,
 // u64 decoded size, u64 FNV-1a-64 of the STORED bytes, u32 kind
@@ -38,6 +45,21 @@
 // VERBATIM (96 bytes), followed by four u32 segment indices (nodes,
 // hashes, children, pool). Records are sorted by strictly increasing
 // source date — the epoch index is a binary search over this table.
+//
+// Temporal section: one arena over every rule any version held, so a
+// question about all versions at once is one walk, not V. It holds
+//   * a PSLSNAP1 snapshot of the union trie (the CompiledMatcher arena
+//     encoding; its own node flags are not read);
+//   * zero padding to 8 bytes, then an epoch index of node_count + 1 u32s:
+//     node n's change points are entries [index[n], index[n + 1]);
+//   * the change points, 8 bytes each (Epoch): u32 first version, u8 rule
+//     flags, u8 section bits, u16 zero. From `first_version` until the
+//     node's next change point the node carries exactly those rule bits; a
+//     node has no rule before its first change point.
+// divergence(host) walks the host's labels once in the union trie, splits
+// the version range at the change points of the nodes on that path, and
+// runs one match per piece with that piece's bits (a handful of walks, a
+// few microseconds, instead of one walk per version).
 //
 // Dedup strategy. Whole-section content-hash dedup alone recovers little:
 // inserting one rule shifts child offsets in every later node, so byte-wise
@@ -63,7 +85,11 @@
 // Integrity: the header checksum covers the header, the two table checksums
 // cover the tables, each segment's stored bytes are hashed, inter-segment
 // padding must be zero, and materialization re-runs full snapshot
-// validation — a single flipped byte anywhere in the file is rejected.
+// validation. The temporal section is checksummed as a whole and fully
+// validated at open: its snapshot through snapshot::load_view, its epoch
+// index for monotone in-bounds runs, and every change point for strictly
+// increasing in-range versions and known flag bits. A single flipped byte
+// anywhere in the file is rejected.
 //
 // Error codes ("store." prefix, stable):
 //   store.io            file could not be read / mapped / written
@@ -76,6 +102,7 @@
 //   store.bad-record    version record invalid (dates, indices, sizes)
 //   store.bad-padding   nonzero bytes between segments
 //   store.bad-delta     delta program malformed or decodes wrong
+//   store.bad-temporal  temporal section invalid (snapshot, index, epochs)
 //   store.out-of-order  Builder::add versions not strictly date-increasing
 //   store.empty         Builder::serialize with no versions
 //   store.no-version    query date precedes the first stored version
@@ -90,6 +117,7 @@
 #include <string_view>
 #include <vector>
 
+#include "psl/psl/rule.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/util/date.hpp"
 #include "psl/util/result.hpp"
@@ -97,8 +125,8 @@
 namespace psl::store {
 
 inline constexpr char kMagic[8] = {'P', 'S', 'L', 'S', 'T', 'O', 'R', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
-inline constexpr std::size_t kHeaderBytes = 96;
+inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::size_t kHeaderBytes = 120;
 inline constexpr std::size_t kSegmentEntryBytes = 40;
 inline constexpr std::size_t kVersionRecordBytes = snapshot::kHeaderBytes + 4 * 4;
 inline constexpr std::uint32_t kRawSegment = 0;
@@ -107,6 +135,18 @@ inline constexpr std::uint32_t kNoBase = 0xFFFFFFFFu;
 /// A delta chain longer than this forces a raw keyframe: materializing any
 /// version then costs at most this many decode passes.
 inline constexpr std::uint32_t kMaxChainDepth = 32;
+
+/// One change point of a temporal-arena node: from version `first_version`
+/// until the node's next change point, the node carries rule bits `flags` /
+/// `sections` (CompiledMatcher::NodeRules). The on-disk entry is this
+/// struct verbatim, little-endian like the arena itself.
+struct Epoch {
+  std::uint32_t first_version = 0;
+  std::uint8_t flags = 0;
+  std::uint8_t sections = 0;
+  std::uint16_t reserved = 0;  ///< always zero
+};
+static_assert(sizeof(Epoch) == 8 && alignof(Epoch) == 4);
 
 /// One maximal run of consecutive list versions over which a host's
 /// registrable domain is constant. divergence() returns a full partition of
@@ -129,6 +169,7 @@ struct Stats {
   std::uint64_t delta_segments = 0;
   std::uint64_t raw_bytes = 0;    ///< stored bytes in raw segments
   std::uint64_t delta_bytes = 0;  ///< stored bytes in delta programs
+  std::uint64_t temporal_bytes = 0;  ///< temporal section (union arena + epochs)
 
   /// Store size as a fraction of shipping every version standalone; the
   /// acceptance bar is < 0.30 over the full history corpus.
@@ -148,8 +189,9 @@ class StoreView {
  public:
   /// mmap `path` read-only and validate everything except the per-version
   /// snapshot internals (those are re-verified by materialization): header,
-  /// table checksums, segment bounds/hashes/padding, record ordering and
-  /// section sizes. Cheap per version; one pass over the file for hashes.
+  /// table checksums, segment bounds/hashes/padding, record ordering,
+  /// section sizes and the whole temporal section. Cheap per version; one
+  /// pass over the file for hashes.
   static util::Result<std::shared_ptr<const StoreView>> open(const std::string& path);
 
   ~StoreView();
@@ -179,9 +221,10 @@ class StoreView {
   /// The paper's Fig. 7 question as a query: how did `host`'s registrable
   /// domain evolve across every stored list version? Returns consecutive
   /// equal-domain runs covering the whole version range, oldest first.
-  /// Matches the offline sweeper exactly: each version's answer is the
-  /// materialized matcher's match(), which is equivalence-tested against
-  /// List::match.
+  /// Answered from the temporal section without materializing any version:
+  /// one walk finds the versions where a rule on the host's path changes,
+  /// then one match per unchanged piece. Each answer equals the version's
+  /// own matcher's, which is equivalence-tested against List::match.
   util::Result<std::vector<DivergenceRange>> divergence(std::string_view host) const;
 
  private:
@@ -203,6 +246,16 @@ class StoreView {
 
   StoreView() = default;
 
+  /// Validate the temporal section `bytes` (inside the mapping) and point
+  /// the union arena and epoch spans at it; the reason on failure.
+  std::optional<std::string> adopt_temporal(std::span<const std::uint8_t> bytes);
+
+  /// Node `node`'s rule bits in the temporal arena at version `version`.
+  CompiledMatcher::NodeRules rules_at(std::uint32_t node, std::uint32_t version) const noexcept;
+  std::span<const Epoch> epochs_of(std::uint32_t node) const noexcept {
+    return epochs_.subspan(epoch_index_[node], epoch_index_[node + 1] - epoch_index_[node]);
+  }
+
   /// Decoded bytes of segment `s` plus whatever keeps them alive (null for
   /// raw segments — the mapping itself is retained separately).
   util::Result<std::pair<std::span<const std::uint8_t>, std::shared_ptr<const void>>>
@@ -213,6 +266,11 @@ class StoreView {
   std::vector<Segment> segments_;
   std::vector<VersionRecord> versions_;
   Stats stats_;
+  /// The temporal section: the union arena (zero-copy into the mapping) and
+  /// its per-node change points.
+  std::optional<snapshot::Snapshot> temporal_;
+  std::span<const std::uint32_t> epoch_index_;
+  std::span<const Epoch> epochs_;
 
   mutable std::mutex cache_mutex_;
   /// Decoded delta segments, indexed by segment id (unset for raw / not yet
@@ -224,14 +282,18 @@ class StoreView {
 /// Write side: accumulate versions (strictly increasing source date), then
 /// serialize / publish. Deduplicates sections by content hash, delta-encodes
 /// against the previous version's sections, and round-trip-verifies every
-/// delta before trusting it. Not thread-safe; build once, publish once.
+/// delta before trusting it. Alongside, it merges each version's trie into
+/// the temporal arena, noting where every node's rule bits change. Not
+/// thread-safe; build once, publish once.
 class Builder {
  public:
   Builder() = default;
 
   /// Add one version from its serialized standalone snapshot bytes (the
   /// canonical form — the 96-byte header is stored verbatim). Validates via
-  /// the snapshot loader first. Returns the version index.
+  /// the snapshot loader first; the arena must also be a tree whose labels
+  /// are canonical rule labels, as every compiled List is
+  /// ("store.bad-record" otherwise). Returns the version index.
   util::Result<std::size_t> add_snapshot(std::span<const std::uint8_t> snapshot_bytes);
 
   /// serialize(matcher, meta) + add_snapshot.
@@ -262,6 +324,20 @@ class Builder {
     snapshot::Metadata meta;
     std::uint32_t seg[4] = {0, 0, 0, 0};
   };
+  /// One edge of the temporal trie.
+  struct TemporalChild {
+    std::uint32_t hash = 0;  ///< detail::fnv1a_reverse(label)
+    std::string label;
+    std::uint32_t node = 0;
+  };
+  /// One label path of the temporal trie (index 0 is the root).
+  struct TemporalNode {
+    /// Sorted by (hash, label), the order of an arena's own child ranges, so
+    /// merging a version's children in is one linear pass.
+    std::vector<TemporalChild> children;
+    std::optional<Rule> rule;   ///< the path as a normal rule (none for the root)
+    std::vector<Epoch> epochs;  ///< change points, by increasing version
+  };
 
   /// Intern one section: content-hash dedup, then delta vs. the previous
   /// version's segment, then raw. `row_width` is the section's record width
@@ -269,12 +345,31 @@ class Builder {
   std::uint32_t intern_section(std::span<const std::uint8_t> bytes, std::size_t row_width,
                                const std::uint32_t* prev_segment);
 
+  /// Merge one validated arena into the temporal trie as version `version`.
+  util::Result<bool> add_temporal(const snapshot::HeaderView& h,
+                                  std::span<const std::uint8_t> snapshot_bytes,
+                                  std::uint32_t version);
+  /// The temporal trie child of `parent` labelled `label` (hash `hash`),
+  /// created on first use ("store.bad-record" when `label` is not a
+  /// canonical rule label). `cursor` is the merge position in the parent's
+  /// children: lookups of one arena node's children, made in its (hash,
+  /// label) order, each resume where the last one stopped.
+  util::Result<std::uint32_t> temporal_child(std::uint32_t parent, std::uint32_t hash,
+                                             std::string_view label, std::size_t depth,
+                                             std::size_t& cursor);
+  /// The serialized temporal section (see the file layout above), built
+  /// once per set of added versions and kept for stats() and serialize().
+  const std::string& temporal_section() const;
+
   std::vector<BuiltSegment> segments_;
   std::vector<Record> records_;
   /// content hash of DECODED section bytes -> segment ids with that hash
   /// (collisions resolved by byte compare).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> dedup_;
   std::uint64_t standalone_bytes_ = 0;
+  std::vector<TemporalNode> temporal_ = std::vector<TemporalNode>(1);
+  /// temporal_section()'s bytes; empty until built, cleared by every add.
+  mutable std::string temporal_section_;
 };
 
 }  // namespace psl::store

@@ -4,10 +4,10 @@
 # keep-last-good must hold for a corrupt file) and via a wire-level
 # `psld reload`, prove the push channel (a subscribed `psld watch` is told
 # about a SIGHUP reload without issuing a single query), then drain via
-# SIGTERM and require a clean exit 0. A second
-# act covers the multi-version store: psltool store build from two dated
-# lists, psld --store, match-at answers flipping across the version
-# boundary, divergence ranges, a corrupted store rejected at boot, and the
+# SIGTERM and require a clean exit 0. A second act covers the multi-version
+# store: psltool store build from two dated lists, psld --store, match-at
+# answers flipping across the version boundary, divergence ranges, a
+# corrupted store and a format-1 store rejected at boot, and the
 # handlers-before-listener fix (SIGTERM during startup still drains
 # cleanly). A third act covers streaming analytics: psld --analytics, a
 # psltool-generated corpus replayed into the census, aggregates read back
@@ -24,7 +24,8 @@
 # can collide with another test's port again. Snapshots are published by
 # rename (tmp + mv), never overwritten in place: the daemon serves them from
 # shared mappings, and rewriting a mapped file would corrupt live memory.
-# CI runs this against the freshly built tree:
+# CI runs this against the freshly built tree, and ctest runs it as
+# PsldLoopbackSmoke:
 #
 #   scripts/net_smoke.sh build/examples/psld [build/examples/psltool]
 set -euo pipefail
@@ -223,6 +224,15 @@ if "$PSLD" --listen 127.0.0.1:0 --store corrupt.pstore > corrupt.log 2>&1; then
   fail "corrupt store was accepted"
 fi
 grep -q "store" corrupt.log || fail "corrupt store rejection message: $(cat corrupt.log)"
+# A store in an older file format (its format-version field set back to 1)
+# is refused at boot with a hint to rebuild it.
+cp hist.pstore v1.pstore
+printf '\x01' | dd of=v1.pstore bs=1 seek=8 conv=notrunc status=none
+if "$PSLD" --listen 127.0.0.1:0 --store v1.pstore > v1.log 2>&1; then
+  fail "format-1 store was accepted"
+fi
+grep -q "store.bad-version" v1.log && grep -q "rebuild" v1.log \
+  || fail "format-1 store rejection message: $(cat v1.log)"
 
 # Handlers-before-listener: SIGTERM inside the widened startup window must
 # still be caught and drain cleanly (the old ordering died with the default

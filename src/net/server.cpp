@@ -887,7 +887,7 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
     submit(conn, *row, frame, t0);
   } else {
     engine_.run_inline([&](const Pinned& pinned) {
-      (this->*row->run)(pinned, frame.payload, id, conn.out);
+      run_bounded(*row, pinned, type, frame.payload, id, conn.out, false);
       if (type == FrameType::kSubscribe) {
         // Record what this peer now knows, from the same pin the reply
         // came from, so the first push carries a meaningful rule_delta and
@@ -899,6 +899,21 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
     });
     if (frames_out_) frames_out_->add();
     observe_since(row->latency, t0);
+  }
+}
+
+void Server::run_bounded(const Handler& row, const Pinned& pinned, FrameType type,
+                         std::span<const std::uint8_t> payload, std::uint32_t id,
+                         std::vector<std::uint8_t>& out, bool datagram) {
+  const std::size_t frame_begin = out.size();
+  (this->*row.run)(pinned, payload, id, out);
+  const std::size_t limit =
+      datagram ? std::min(options_.max_frame_bytes, kUdpMaxDatagramBytes - kHeaderBytes)
+               : options_.max_frame_bytes;
+  if (out.size() - frame_begin > kHeaderBytes + limit) {
+    out.resize(frame_begin);
+    append_status(out, type, id, Status::kUnsupported,
+                  datagram ? "udp.oversize" : "response.oversize");
   }
 }
 
@@ -915,16 +930,17 @@ void Server::submit(Connection& conn, const Handler& row, const Frame& frame,
     ++outstanding_jobs_;
   }
   const std::uint32_t id = frame.header.id;
+  const FrameType type = static_cast<FrameType>(frame.header.type);
   const auto enq = engine_.submit_job(
-      [this, &row, conn_id = conn.id, id, t0,
+      [this, &row, conn_id = conn.id, id, type, t0,
        request = std::move(request)](const Pinned& pinned) mutable {
         std::vector<std::uint8_t> response = acquire_buffer();
-        (this->*row.run)(pinned, request, id, response);
+        run_bounded(row, pinned, type, request, id, response, false);
         if (frames_out_) frames_out_->add();
         release_buffer(std::move(request));
         complete(Completion{conn_id, std::move(response), row.latency, t0});
       });
-  finish_submit(conn, enq, static_cast<FrameType>(frame.header.type), id);
+  finish_submit(conn, enq, type, id);
 }
 
 void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,
@@ -956,7 +972,8 @@ void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameTy
 // e.g. a resolver plugin) gets an answer in one socket round trip with no
 // connection state on either side. Datagram loss/reordering is the client's
 // problem by UDP contract (the request id echoes back for matching);
-// oversized responses are replaced by a kUnsupported("udp.oversize") status
+// oversized responses are replaced (run_bounded) by a
+// kUnsupported("udp.oversize") status
 // so the peer learns the bound rather than silently missing a truncated
 // reply. Datagrams that fail decode_datagram are dropped: answering would
 // require trusting the very bytes that failed validation.
@@ -1013,12 +1030,9 @@ void Server::answer_datagram(const Frame& frame) {
     append_status(udp_out_, type, id, Status::kMalformed, row->malformed);
     return;
   }
-  engine_.run_inline(
-      [&](const Pinned& pinned) { (this->*row->run)(pinned, frame.payload, id, udp_out_); });
-  if (udp_out_.size() > kUdpMaxDatagramBytes) {
-    udp_out_.clear();
-    append_status(udp_out_, type, id, Status::kUnsupported, "udp.oversize");
-  }
+  engine_.run_inline([&](const Pinned& pinned) {
+    run_bounded(*row, pinned, type, frame.payload, id, udp_out_, true);
+  });
   observe_since(row->latency, t0);
 }
 

@@ -182,27 +182,10 @@ std::uint32_t CompiledMatcher::find_child(std::uint32_t node, std::string_view l
   return kNoChild;
 }
 
-/// Shared-walk adapter over the arena (see psl/detail/match_walk.hpp).
-struct CompiledMatcher::Cursor {
-  const CompiledMatcher* m;
-  std::uint32_t node = 0;
-
-  bool descend(std::string_view label, std::uint32_t hash) noexcept {
-    const std::uint32_t child = m->find_child(node, label, hash);
-    if (child == kNoChild) return false;
-    node = child;
-    return true;
-  }
-  bool has_wildcard() const noexcept { return m->nodes_[node].flags & kHasWildcard; }
-  Section wildcard_section() const noexcept { return m->section_of(node, kHasWildcard); }
-  bool has_normal() const noexcept { return m->nodes_[node].flags & kHasNormal; }
-  Section normal_section() const noexcept { return m->section_of(node, kHasNormal); }
-  bool has_exception() const noexcept { return m->nodes_[node].flags & kHasException; }
-  Section exception_section() const noexcept { return m->section_of(node, kHasException); }
-};
-
 MatchView CompiledMatcher::match_view(std::string_view host) const noexcept {
-  return detail::match_walk(Cursor{this}, host);
+  return match_view_with(host, [](const CompiledMatcher& m, std::uint32_t n) noexcept {
+    return NodeRules{m.nodes_[n].flags, m.nodes_[n].sections};
+  });
 }
 
 std::size_t CompiledMatcher::match_batch(std::span<const std::string_view> hosts,

@@ -1,6 +1,7 @@
-// psl::store implementation: the delta codec, the Builder (write side) and
-// the StoreView (mmap read side). See include/psl/store/store.hpp for the
-// file format and the dedup strategy rationale.
+// psl::store implementation: the delta codec, the Builder (write side), the
+// temporal arena, and the StoreView (mmap read side). See
+// include/psl/store/store.hpp for the file format and the dedup strategy
+// rationale.
 
 #include "psl/store/store.hpp"
 
@@ -18,6 +19,8 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "psl/psl/list.hpp"
 
 namespace psl::store {
 
@@ -480,6 +483,14 @@ std::span<const std::uint8_t> as_bytes(const std::string& s) {
 /// Child = 3 lanes), pool (0 = unstructured bytes).
 constexpr std::size_t kRowWidth[4] = {3, 1, 3, 0};
 
+/// Arena record sizes in bytes (CompiledMatcher's Node and Child).
+constexpr std::size_t kNodeBytes = 12;
+constexpr std::size_t kChildBytes = 12;
+
+constexpr std::uint8_t kKnownFlags = CompiledMatcher::kHasNormal |
+                                     CompiledMatcher::kHasWildcard |
+                                     CompiledMatcher::kHasException;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -590,6 +601,9 @@ util::Result<std::size_t> Builder::add_snapshot(std::span<const std::uint8_t> sn
                    {h.children_off, h.children_bytes},
                    {h.pool_off, h.pool_bytes}};
 
+  auto merged = add_temporal(h, snapshot_bytes, static_cast<std::uint32_t>(records_.size()));
+  if (!merged.ok()) return merged.error();
+
   Record rec;
   rec.header.assign(reinterpret_cast<const char*>(snapshot_bytes.data()),
                     snapshot::kHeaderBytes);
@@ -611,6 +625,156 @@ util::Result<std::size_t> Builder::add(const CompiledMatcher& matcher,
   return add_snapshot(as_bytes(bytes));
 }
 
+util::Result<std::uint32_t> Builder::temporal_child(std::uint32_t parent, std::uint32_t hash,
+                                                    std::string_view label, std::size_t depth,
+                                                    std::size_t& cursor) {
+  const std::vector<TemporalChild>& kids = temporal_[parent].children;
+  while (cursor < kids.size() &&
+         (kids[cursor].hash < hash ||
+          (kids[cursor].hash == hash && std::string_view(kids[cursor].label) < label))) {
+    ++cursor;
+  }
+  if (cursor < kids.size() && kids[cursor].hash == hash && kids[cursor].label == label) {
+    return kids[cursor++].node;
+  }
+  // The path must read back as itself: a normal rule with one label per
+  // trie level, each already in canonical (lower-case A-label) form. Every
+  // arena compiled from a List passes; an arena that does not could never
+  // be matched label-for-label the way the walk matches a host.
+  std::string text(label);
+  if (temporal_[parent].rule) text += "." + temporal_[parent].rule->to_string();
+  auto rule = Rule::parse(text, Section::kIcann);
+  if (!rule.ok() || rule->kind() != RuleKind::kNormal || rule->labels().size() != depth ||
+      rule->to_string() != text) {
+    return err("store.bad-record", "arena label path \"" + text + "\" is not a canonical rule");
+  }
+  const auto index = static_cast<std::uint32_t>(temporal_.size());
+  temporal_[parent].children.insert(temporal_[parent].children.begin() + cursor++,
+                                    TemporalChild{hash, std::string(label), index});
+  temporal_.push_back(TemporalNode{{}, std::move(*rule), {}});
+  return index;
+}
+
+util::Result<bool> Builder::add_temporal(const snapshot::HeaderView& h,
+                                         std::span<const std::uint8_t> snapshot_bytes,
+                                         std::uint32_t version) {
+  // The loader has validated every index below; what it does not promise is
+  // a tree (two edges into one node, or a cycle, would give a node several
+  // label paths), so that is checked here.
+  const std::uint8_t* const nodes = snapshot_bytes.data() + h.nodes_off;
+  const std::uint8_t* const hashes = snapshot_bytes.data() + h.hashes_off;
+  const std::uint8_t* const children = snapshot_bytes.data() + h.children_off;
+  const char* const pool = reinterpret_cast<const char*>(snapshot_bytes.data() + h.pool_off);
+  const auto node_count = static_cast<std::size_t>(h.node_count);
+
+  struct Visit {
+    std::uint32_t node, temporal, depth;
+  };
+  std::vector<Visit> stack{{0, 0, 0}};
+  std::vector<bool> seen(node_count, false);
+  seen[0] = true;
+  std::vector<std::uint16_t> bits(temporal_.size(), 0);  // flags | sections << 8
+  while (!stack.empty()) {
+    const Visit at = stack.back();
+    stack.pop_back();
+    const std::uint8_t* const n = nodes + at.node * kNodeBytes;
+    if (at.temporal >= bits.size()) bits.resize(temporal_.size(), 0);
+    bits[at.temporal] = static_cast<std::uint16_t>(n[8] | (n[9] << 8));
+    // A walk never descends past kMaxMatchDepth - 1 labels, so deeper nodes
+    // can never change an answer.
+    if (at.depth + 1 >= detail::kMaxMatchDepth) continue;
+    std::size_t cursor = 0;
+    for (std::uint32_t c = get_u32(n); c < get_u32(n + 4); ++c) {
+      const std::uint8_t* const child = children + std::size_t{c} * kChildBytes;
+      const std::uint32_t node = get_u32(child + 8);
+      if (seen[node]) {
+        return err("store.bad-record", "version " + std::to_string(version) +
+                                           ": arena is not a tree (node " +
+                                           std::to_string(node) + " reached twice)");
+      }
+      seen[node] = true;
+      const std::string_view label(pool + get_u32(child), get_u32(child + 4));
+      auto next = temporal_child(at.temporal, get_u32(hashes + std::size_t{c} * 4), label,
+                                 at.depth + 1, cursor);
+      if (!next.ok()) {
+        return err(next.error().code,
+                   "version " + std::to_string(version) + ": " + next.error().message);
+      }
+      stack.push_back({node, *next, at.depth + 1});
+    }
+  }
+  bits.resize(temporal_.size(), 0);
+
+  // A change point wherever a node's bits differ from its last change point
+  // (no rule, before its first one).
+  for (std::size_t t = 0; t < temporal_.size(); ++t) {
+    std::vector<Epoch>& epochs = temporal_[t].epochs;
+    const std::uint16_t last =
+        epochs.empty() ? 0
+                       : static_cast<std::uint16_t>(epochs.back().flags |
+                                                    (epochs.back().sections << 8));
+    if (bits[t] == last) continue;
+    epochs.push_back(Epoch{version, static_cast<std::uint8_t>(bits[t] & 0xFF),
+                           static_cast<std::uint8_t>(bits[t] >> 8), 0});
+  }
+  temporal_section_.clear();
+  return true;
+}
+
+const std::string& Builder::temporal_section() const {
+  if (!temporal_section_.empty()) return temporal_section_;
+  // The union trie as a List: one normal rule per path that ever carried a
+  // rule. Its compiled arena has exactly these paths; the flags it compiles
+  // are never read.
+  std::vector<Rule> rules;
+  for (const TemporalNode& t : temporal_) {
+    if (t.rule && !t.epochs.empty()) rules.push_back(*t.rule);
+  }
+  const std::size_t rule_count = rules.size();
+  const CompiledMatcher arena(List::from_rules(std::move(rules)));
+
+  // Each path's arena node is the deepest one a walk of its own labels visits.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> placed;  // (arena node, temporal node)
+  for (std::uint32_t t = 0; t < temporal_.size(); ++t) {
+    if (temporal_[t].epochs.empty()) continue;
+    std::uint32_t node = 0;
+    if (temporal_[t].rule) {
+      (void)arena.match_view_with(temporal_[t].rule->to_string(),
+                                  [&node](const CompiledMatcher&, std::uint32_t n) {
+                                    node = n;
+                                    return CompiledMatcher::NodeRules{};
+                                  });
+    }
+    placed.emplace_back(node, t);
+  }
+  std::sort(placed.begin(), placed.end());
+
+  snapshot::Metadata meta;
+  meta.source_date = records_.empty() ? util::Date{0} : records_.back().meta.source_date;
+  meta.rule_count = rule_count;
+  std::string out = snapshot::serialize(arena, meta);
+  out.resize(static_cast<std::size_t>(align8(out.size())), '\0');
+  std::uint32_t next = 0;
+  auto placed_it = placed.begin();
+  for (std::uint32_t n = 0; n <= arena.node_count(); ++n) {
+    put_u32(out, next);
+    if (placed_it != placed.end() && placed_it->first == n) {
+      next += static_cast<std::uint32_t>(temporal_[placed_it->second].epochs.size());
+      ++placed_it;
+    }
+  }
+  for (const auto& [node, t] : placed) {
+    for (const Epoch& e : temporal_[t].epochs) {
+      put_u32(out, e.first_version);
+      out.push_back(static_cast<char>(e.flags));
+      out.push_back(static_cast<char>(e.sections));
+      out.append(2, '\0');
+    }
+  }
+  temporal_section_ = std::move(out);
+  return temporal_section_;
+}
+
 Stats Builder::stats() const {
   Stats st;
   st.standalone_bytes = standalone_bytes_;
@@ -627,7 +791,8 @@ Stats Builder::stats() const {
       st.delta_bytes += seg.stored.size();
     }
   }
-  size = align8(size) + segments_.size() * kSegmentEntryBytes +
+  st.temporal_bytes = temporal_section().size();
+  size = align8(align8(size) + st.temporal_bytes) + segments_.size() * kSegmentEntryBytes +
          records_.size() * kVersionRecordBytes;
   st.file_bytes = size;
   return st;
@@ -643,6 +808,10 @@ util::Result<std::string> Builder::serialize() const {
     offsets[i] = out.size();
     out += segments_[i].stored;
   }
+  out.resize(static_cast<std::size_t>(align8(out.size())), '\0');
+  const std::uint64_t temporal_off = out.size();
+  out += temporal_section();
+  const std::uint64_t temporal_bytes = out.size() - temporal_off;
   out.resize(static_cast<std::size_t>(align8(out.size())), '\0');
 
   const std::uint64_t seg_table_off = out.size();
@@ -677,7 +846,10 @@ util::Result<std::string> Builder::serialize() const {
   put_u64(header, static_cast<std::uint64_t>(static_cast<std::int64_t>(
                       records_.back().meta.source_date.days_since_epoch())));
   put_u64(header, standalone_bytes_);
-  put_u64(header, fnv1a64(header.data(), 88));
+  put_u64(header, temporal_off);
+  put_u64(header, temporal_bytes);
+  put_u64(header, fnv1a64(out.data() + temporal_off, temporal_bytes));
+  put_u64(header, fnv1a64(header.data(), kHeaderBytes - 8));
   out.replace(0, kHeaderBytes, header);
   return out;
 }
@@ -741,13 +913,15 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
     return err("store.bad-magic", "magic bytes are not PSLSTOR1");
   }
   if (get_u32(p + 8) != kFormatVersion) {
-    return err("store.bad-version",
-               "format version " + std::to_string(get_u32(p + 8)) + " unsupported");
+    return err("store.bad-version", "format version " + std::to_string(get_u32(p + 8)) +
+                                        " unsupported (this build reads " +
+                                        std::to_string(kFormatVersion) +
+                                        "); rebuild the store with `psltool store build`");
   }
   if (get_u32(p + 12) != kHeaderBytes) {
-    return err("store.bad-header", "header size field must be 96");
+    return err("store.bad-header", "header size field must be " + std::to_string(kHeaderBytes));
   }
-  if (fnv1a64(p, 88) != get_u64(p + 88)) {
+  if (fnv1a64(p, kHeaderBytes - 8) != get_u64(p + kHeaderBytes - 8)) {
     return err("store.checksum", "header checksum mismatch");
   }
   const std::uint64_t version_count = get_u64(p + 16);
@@ -759,6 +933,9 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
   const std::uint64_t ver_table_sum = get_u64(p + 64);
   const std::int64_t newest_days = static_cast<std::int64_t>(get_u64(p + 72));
   const std::uint64_t standalone_bytes = get_u64(p + 80);
+  const std::uint64_t temporal_off = get_u64(p + 88);
+  const std::uint64_t temporal_bytes = get_u64(p + 96);
+  const std::uint64_t temporal_sum = get_u64(p + 104);
   if (version_count == 0 || segment_count == 0) {
     return err("store.bad-header", "empty version or segment table");
   }
@@ -778,12 +955,29 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
       ver_table_off + ver_table_bytes != total) {
     return err("store.bad-header", "table layout inconsistent");
   }
+  if (temporal_off < kHeaderBytes || temporal_off % 8 != 0 || temporal_off > seg_table_off ||
+      temporal_bytes > seg_table_off - temporal_off) {
+    return err("store.bad-header", "temporal section out of bounds");
+  }
   if (fnv1a64(p + seg_table_off, seg_table_bytes) != seg_table_sum) {
     return err("store.checksum", "segment table checksum mismatch");
   }
   if (fnv1a64(p + ver_table_off, ver_table_bytes) != ver_table_sum) {
     return err("store.checksum", "version table checksum mismatch");
   }
+  if (fnv1a64(p + temporal_off, temporal_bytes) != temporal_sum) {
+    return err("store.checksum", "temporal section checksum mismatch");
+  }
+
+  // Zero padding of under 8 bytes between one region's end and the next.
+  const auto check_gap = [p](std::uint64_t from, std::uint64_t to,
+                             const std::string& where) -> std::optional<util::Error> {
+    if (to - from >= 8) return err("store.bad-padding", where + ": oversized gap");
+    for (std::uint64_t g = from; g < to; ++g) {
+      if (p[g] != 0) return err("store.bad-padding", where + ": nonzero padding");
+    }
+    return std::nullopt;
+  };
 
   std::shared_ptr<StoreView> view(new StoreView());
   view->path_ = path;
@@ -819,16 +1013,11 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
     } else {
       return err("store.bad-segment", at + ": unknown kind");
     }
-    if (seg.offset < cursor || seg.offset % 8 != 0 || seg.offset > seg_table_off ||
-        seg.stored > seg_table_off - seg.offset) {
+    if (seg.offset < cursor || seg.offset % 8 != 0 || seg.offset > temporal_off ||
+        seg.stored > temporal_off - seg.offset) {
       return err("store.bad-segment", at + ": data out of bounds");
     }
-    if (seg.offset - cursor >= 8) {
-      return err("store.bad-padding", at + ": oversized inter-segment gap");
-    }
-    for (std::uint64_t g = cursor; g < seg.offset; ++g) {
-      if (p[g] != 0) return err("store.bad-padding", at + ": nonzero inter-segment padding");
-    }
+    if (auto gap = check_gap(cursor, seg.offset, at)) return *gap;
     if (fnv1a64(p + seg.offset, seg.stored) != seg.hash) {
       return err("store.checksum", at + ": stored-byte checksum mismatch");
     }
@@ -842,11 +1031,10 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
     }
     view->segments_.push_back(seg);
   }
-  if (seg_table_off - cursor >= 8) {
-    return err("store.bad-padding", "oversized gap before the segment table");
-  }
-  for (std::uint64_t g = cursor; g < seg_table_off; ++g) {
-    if (p[g] != 0) return err("store.bad-padding", "nonzero padding before the segment table");
+  if (auto gap = check_gap(cursor, temporal_off, "before the temporal section")) return *gap;
+  if (auto gap = check_gap(temporal_off + temporal_bytes, seg_table_off,
+                           "before the segment table")) {
+    return *gap;
   }
 
   // --- version table --------------------------------------------------------
@@ -887,7 +1075,14 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
     return err("store.bad-header", "newest-date field does not match the last version");
   }
 
+  const std::span<const std::uint8_t> temporal(p + temporal_off,
+                                               static_cast<std::size_t>(temporal_bytes));
+  if (auto bad = view->adopt_temporal(temporal)) {
+    return err("store.bad-temporal", *bad);
+  }
+
   stats.file_bytes = size;
+  stats.temporal_bytes = temporal_bytes;
   stats.standalone_bytes = standalone_bytes;
   stats.version_count = version_count;
   stats.segment_count = segment_count;
@@ -1001,17 +1196,97 @@ util::Result<snapshot::Snapshot> StoreView::open_at(util::Date date) const {
   return open_version(*idx);
 }
 
+std::optional<std::string> StoreView::adopt_temporal(std::span<const std::uint8_t> bytes) {
+  const auto header = snapshot::parse_header(bytes);
+  if (!header.ok()) return header.error().code + ": " + header.error().message;
+  if (header->total_bytes > bytes.size()) return "snapshot overruns the section";
+  auto arena = snapshot::load_view(bytes.first(static_cast<std::size_t>(header->total_bytes)));
+  if (!arena.ok()) return arena.error().code + ": " + arena.error().message;
+
+  // [snapshot | pad to 8 | index: node_count + 1 u32 | epochs: 8 bytes each]
+  const std::uint64_t index_off = align8(header->total_bytes);
+  const std::uint64_t index_count = header->node_count + 1;
+  if (index_off > bytes.size() || (bytes.size() - index_off) / 4 < index_count) {
+    return "epoch index truncated";
+  }
+  for (std::uint64_t g = header->total_bytes; g < index_off; ++g) {
+    if (bytes[g] != 0) return "nonzero padding after the snapshot";
+  }
+  const std::uint64_t epochs_off = index_off + index_count * 4;
+  if ((bytes.size() - epochs_off) % sizeof(Epoch) != 0) {
+    return "epoch table size not a multiple of 8";
+  }
+  const std::span<const std::uint32_t> index(
+      reinterpret_cast<const std::uint32_t*>(bytes.data() + index_off),
+      static_cast<std::size_t>(index_count));
+  const std::span<const Epoch> epochs(reinterpret_cast<const Epoch*>(bytes.data() + epochs_off),
+                                      (bytes.size() - epochs_off) / sizeof(Epoch));
+  if (index.front() != 0 || index.back() != epochs.size()) {
+    return "epoch index does not span the table";
+  }
+  for (std::size_t n = 0; n + 1 < index.size(); ++n) {
+    if (index[n] > index[n + 1] || index[n + 1] > epochs.size()) {
+      return "epoch index not monotone at node " + std::to_string(n);
+    }
+    for (std::uint32_t e = index[n]; e < index[n + 1]; ++e) {
+      const Epoch& ep = epochs[e];
+      if (ep.first_version >= versions_.size() ||
+          (e > index[n] && ep.first_version <= epochs[e - 1].first_version)) {
+        return "epoch " + std::to_string(e) + ": version out of order or range";
+      }
+      if ((ep.flags & ~kKnownFlags) != 0 || (ep.sections & ~ep.flags) != 0 ||
+          ep.reserved != 0) {
+        return "epoch " + std::to_string(e) + ": unknown rule bits";
+      }
+    }
+  }
+  temporal_ = std::move(*arena);
+  epoch_index_ = index;
+  epochs_ = epochs;
+  return std::nullopt;
+}
+
+CompiledMatcher::NodeRules StoreView::rules_at(std::uint32_t node,
+                                               std::uint32_t version) const noexcept {
+  CompiledMatcher::NodeRules rules;
+  for (const Epoch& e : epochs_of(node)) {
+    if (e.first_version > version) break;
+    rules = {e.flags, e.sections};
+  }
+  return rules;
+}
+
 util::Result<std::vector<DivergenceRange>> StoreView::divergence(std::string_view host) const {
+  const CompiledMatcher& arena = temporal_->matcher;
+  // The nodes a walk visits depend only on the trie's shape, never on rule
+  // bits, so one walk finds every version where this host's answer can
+  // change: the change points of the nodes on its path.
+  std::vector<std::uint32_t> cuts{0};
+  std::uint32_t last = 0xFFFFFFFFu;
+  (void)arena.match_view_with(host, [&](const CompiledMatcher&, std::uint32_t node) {
+    if (node != last) {
+      last = node;
+      for (const Epoch& e : epochs_of(node)) cuts.push_back(e.first_version);
+    }
+    return CompiledMatcher::NodeRules{};
+  });
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
   std::vector<DivergenceRange> out;
-  for (std::size_t v = 0; v < versions_.size(); ++v) {
-    auto snap = open_version(v);
-    if (!snap.ok()) return snap.error();
-    const MatchView m = snap->matcher.match_view(host);
-    const util::Date date = versions_[v].meta.source_date;
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    const std::uint32_t first = cuts[i];
+    const std::size_t end = i + 1 < cuts.size() ? cuts[i + 1] : versions_.size();
+    const MatchView m = arena.match_view_with(
+        host, [this, first](const CompiledMatcher&, std::uint32_t node) {
+          return rules_at(node, first);
+        });
+    const util::Date first_date = versions_[first].meta.source_date;
+    const util::Date last_date = versions_[end - 1].meta.source_date;
     if (out.empty() || out.back().registrable_domain != m.registrable_domain) {
-      out.push_back(DivergenceRange{date, date, std::string(m.registrable_domain)});
+      out.push_back(DivergenceRange{first_date, last_date, std::string(m.registrable_domain)});
     } else {
-      out.back().last_date = date;
+      out.back().last_date = last_date;
     }
   }
   return out;

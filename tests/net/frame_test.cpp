@@ -8,31 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-namespace {
-
-std::atomic<std::size_t> g_alloc_count{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace psl::net {
 namespace {
@@ -334,7 +316,7 @@ TEST(NetFrameTest, SteadyStateDecodeEncodeDoesNotAllocate) {
     ASSERT_TRUE(parse_same_site_request(frame.payload, pairs));
   }
 
-  const std::size_t before = g_alloc_count.load();
+  const std::size_t before = test_support::allocation_count();
   for (std::uint32_t i = 0; i < 1000; ++i) {
     wire.clear();
     encode_frame(wire, static_cast<std::uint8_t>(FrameType::kSameSiteBatch), i, payload);
@@ -343,7 +325,7 @@ TEST(NetFrameTest, SteadyStateDecodeEncodeDoesNotAllocate) {
     ASSERT_TRUE(parse_same_site_request(frame.payload, pairs));
     ASSERT_EQ(pairs.size(), 1u);
   }
-  const std::size_t after = g_alloc_count.load();
+  const std::size_t after = test_support::allocation_count();
   EXPECT_EQ(after - before, 0u) << "decode/encode hot path allocated";
 }
 

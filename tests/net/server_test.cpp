@@ -203,6 +203,30 @@ TEST(NetServerTest, QueryBatchesRoundTrip) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(NetServerTest, OversizeResponseAnswersStatusAndKeepsConnection) {
+  serve::Engine engine(snap_of(list_a()), {.threads = 1});
+  Server server(engine, {});
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+  Client client = connect_or_die(*port);
+
+  // A valid request just under the 1 MiB frame cap whose answer — suffix and
+  // registrable domain per host — encodes to ~1.2 MB, over the cap.
+  const std::vector<std::string> hosts(14553, std::string(60, 'x') + ".github.io");
+  auto big = client.match_batch(hosts);
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.error().code, "net.unsupported");
+  EXPECT_EQ(big.error().message, "response.oversize");
+
+  // The connection survives, and a batch that fits is answered in full.
+  auto pong = client.ping();
+  ASSERT_TRUE(pong.ok()) << pong.error().message;
+  auto fits = client.match_batch(std::vector<std::string>(1000, hosts.front()));
+  ASSERT_TRUE(fits.ok()) << fits.error().message;
+  ASSERT_EQ(fits->size(), 1000u);
+  EXPECT_EQ(fits->front().registrable_domain, hosts.front());
+}
+
 TEST(NetServerTest, BackpressureIsWireLevelRejectNotHang) {
   obs::MetricsRegistry metrics;
   // One worker, zero queue slots: while the worker is pinned, every batch

@@ -6,31 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
-// --- counting allocator hook ------------------------------------------------
-// Replacing the global (unaligned) operator new/delete pair counts every
-// heap allocation made by this test binary. The aligned forms fall through
-// to the standard library, which pairs them with its own deletes.
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace psl {
 namespace {
@@ -154,14 +133,14 @@ TEST(CompiledMatcherTest, MatchViewAllocatesNothingInSteadyState) {
   std::size_t sum = 0;
   for (const std::string& h : hosts) sum += matcher.match_view(h).public_suffix.size();
 
-  const std::size_t before = g_alloc_count.load();
+  const std::size_t before = test_support::allocation_count();
   for (int rep = 0; rep < 1000; ++rep) {
     for (const std::string& h : hosts) {
       const MatchView v = matcher.match_view(h);
       sum += v.public_suffix.size() + v.registrable_domain.size() + v.rule_labels;
     }
   }
-  const std::size_t after = g_alloc_count.load();
+  const std::size_t after = test_support::allocation_count();
 
   EXPECT_EQ(after, before) << "match_view allocated on the hot path";
   EXPECT_GT(sum, 0u);  // keep the loop observable

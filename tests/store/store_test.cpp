@@ -1,11 +1,12 @@
 // psl::store — round-trip bit-identity over the history corpus, corruption
 // rejection (single-byte flips anywhere in the file), the epoch index, the
 // Engine integration, and divergence() against the offline per-version
-// sweep it must reproduce exactly.
+// sweep and the per-version matcher loop it must reproduce exactly.
 #include "psl/store/store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -141,6 +142,17 @@ TEST(StoreTest, SingleByteFlipAnywhereIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(StoreTest, OlderFormatIsRefusedWithARebuildHint) {
+  std::string image = build_store(2);
+  image[8] = 1;  // the format-version field, as a format-1 store has it
+  const std::string path = write_temp("store_v1.pstore", image);
+  const auto view = store::StoreView::open(path);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.error().code, "store.bad-version");
+  EXPECT_NE(view.error().message.find("rebuild"), std::string::npos) << view.error().message;
+  std::remove(path.c_str());
+}
+
 TEST(StoreTest, VersionIndexAtIsTheEpochIndex) {
   const history::History& h = tiny_history();
   const std::string path =
@@ -204,6 +216,119 @@ TEST(StoreTest, DivergenceMatchesTheOfflineSweep) {
     EXPECT_EQ(*got, want) << host;
   }
   std::remove(path.c_str());
+}
+
+/// The per-version oracle: `answer(v)` for every version, grouped into runs
+/// of equal registrable domains exactly as divergence() groups them.
+template <typename Answer>
+std::vector<store::DivergenceRange> runs_by_version(const std::vector<util::Date>& dates,
+                                                    const Answer& answer) {
+  std::vector<store::DivergenceRange> out;
+  for (std::size_t v = 0; v < dates.size(); ++v) {
+    const std::string rd = answer(v);
+    if (out.empty() || out.back().registrable_domain != rd) {
+      out.push_back(store::DivergenceRange{dates[v], dates[v], rd});
+    } else {
+      out.back().last_date = dates[v];
+    }
+  }
+  return out;
+}
+
+/// divergence() for every host equals two oracles: the store's own
+/// materialized matcher per version (the loop divergence() replaced), and
+/// History::snapshot(v).
+void expect_divergence_matches_oracles(const history::History& h,
+                                       const std::vector<std::string>& hosts) {
+  store::Builder builder;
+  std::vector<List> lists;
+  for (std::size_t v = 0; v < h.version_count(); ++v) {
+    lists.push_back(h.snapshot(v));
+    ASSERT_TRUE(builder.add(CompiledMatcher(lists.back()), meta_at(h, v)).ok());
+  }
+  const auto image = builder.serialize();
+  ASSERT_TRUE(image.ok());
+  const std::string path = write_temp("store_divergence_oracle.pstore", *image);
+  const auto view = store::StoreView::open(path);
+  ASSERT_TRUE(view.ok()) << view.error().message;
+
+  for (const std::string& host : hosts) {
+    const auto got = (*view)->divergence(host);
+    ASSERT_TRUE(got.ok()) << host;
+    const auto by_matcher = runs_by_version(h.version_dates(), [&](std::size_t v) {
+      const auto snap = (*view)->open_version(v);
+      EXPECT_TRUE(snap.ok());
+      return std::string(snap->matcher.match_view(host).registrable_domain);
+    });
+    const auto by_history = runs_by_version(h.version_dates(), [&](std::size_t v) {
+      return lists[v].match(host).registrable_domain;
+    });
+    EXPECT_EQ(*got, by_matcher) << "host \"" << host << "\"";
+    EXPECT_EQ(*got, by_history) << "host \"" << host << "\"";
+  }
+  std::remove(path.c_str());
+}
+
+/// Hosts that exercise degenerate input beside any rule set.
+std::vector<std::string> edge_hosts() {
+  return {"", ".", "com", "a..b.com", "tenant.example.com.", "TENANT.Example.COM",
+          "never.matched.invalid"};
+}
+
+TEST(StoreTest, DivergenceEqualsPerVersionOraclesOverTheCorpus) {
+  const history::History& h = tiny_history();
+  std::vector<std::string> hosts = edge_hosts();
+  for (const history::ScheduledRule& sr : h.schedule()) {
+    std::string suffix;
+    for (const std::string& label : sr.rule.labels()) {
+      suffix += (suffix.empty() ? "" : ".") + label;
+    }
+    hosts.push_back(suffix);
+    hosts.push_back("tenant." + suffix);
+    hosts.push_back("www.tenant." + suffix);
+  }
+  expect_divergence_matches_oracles(h, hosts);
+}
+
+Rule rule(const char* text, Section section = Section::kIcann) {
+  auto parsed = Rule::parse(text, section);
+  EXPECT_TRUE(parsed.ok()) << text;
+  return *parsed;
+}
+
+TEST(StoreTest, DivergenceFollowsRulesThatComeGoAndChange) {
+  std::vector<util::Date> dates;
+  for (std::int32_t d = 0; d < 8; ++d) dates.push_back(util::Date{14000 + 30 * d});
+  const auto at = [&](std::size_t v) { return dates[v]; };
+  std::vector<history::ScheduledRule> schedule = {
+      {rule("com"), at(0), std::nullopt},
+      {rule("ck"), at(0), std::nullopt},
+      // Removed, then re-added: the answer goes A -> B -> A.
+      {rule("foo.com"), at(0), at(2)},
+      {rule("foo.com"), at(5), std::nullopt},
+      // The same rule changes section: new change points, same answers.
+      {rule("blog.com"), at(0), at(2)},
+      {rule("blog.com", Section::kPrivate), at(2), std::nullopt},
+      // A wildcard and its exception arrive in different versions, and the
+      // wildcard leaves before the exception does.
+      {rule("*.ck"), at(2), at(6)},
+      {rule("!www.ck"), at(4), std::nullopt},
+  };
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [](const auto& a, const auto& b) { return a.added < b.added; });
+  const history::History h(dates, schedule);
+  std::vector<std::string> hosts = edge_hosts();
+  for (const char* host : {"x.foo.com", "foo.com", "a.b.foo.com", "x.blog.com", "blog.com",
+                           "www.ck", "a.www.ck", "shop.ck", "a.shop.ck", "ck", "x.ck."}) {
+    hosts.emplace_back(host);
+  }
+  // The history really does take x.foo.com through A -> B -> A.
+  const auto flips = runs_by_version(dates, [&](std::size_t v) {
+    return h.snapshot(v).match("x.foo.com").registrable_domain;
+  });
+  ASSERT_EQ(flips.size(), 3u);
+  EXPECT_EQ(flips.front().registrable_domain, flips.back().registrable_domain);
+  expect_divergence_matches_oracles(h, hosts);
 }
 
 TEST(StoreTest, BuilderRejectsOutOfOrderAndEmpty) {
