@@ -1,8 +1,8 @@
 // Engineering/ablation bench: PSL matching throughput.
 //
 // DESIGN.md ablation #1, extended for the query-acceleration stack:
-// reversed-label trie (psl::List) vs. hash-set per-depth probing
-// (psl::FlatMatcher) vs. the arena-compiled matcher (psl::CompiledMatcher),
+// reversed-label trie (psl::List) vs. the arena-compiled matcher
+// (psl::CompiledMatcher),
 // single match_view vs. match_batch (a match_view loop) vs.
 // batched+cached (match_batch behind a RegDomainCache, the serve-layer hot
 // path) — over the full list, a realistic uniform host mix, and a
@@ -32,7 +32,6 @@
 #include "counting_new.hpp"
 #include "psl/history/timeline.hpp"
 #include "psl/psl/compiled_matcher.hpp"
-#include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/serve/regdomain_cache.hpp"
 #include "psl/util/namegen.hpp"
@@ -103,21 +102,8 @@ void BM_TrieMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieMatch);
 
-void BM_FlatMatch(benchmark::State& state) {
-  const psl::FlatMatcher matcher(full_list());
-  const auto& hosts = host_mix();
-  std::size_t i = 0;
-  const AllocCounter allocs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.match(hosts[i++ & 4095]));
-  }
-  allocs.report(state);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatMatch);
-
 void BM_CompiledMatch(benchmark::State& state) {
-  // The allocating Match adapter — apples-to-apples with the two above.
+  // The allocating Match adapter — apples-to-apples with the one above.
   const psl::CompiledMatcher matcher(full_list());
   const auto& hosts = host_mix();
   std::size_t i = 0;
@@ -325,13 +311,6 @@ void BM_BuildFromRules(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildFromRules);
-
-void BM_FlatMatcherConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(psl::FlatMatcher(full_list()));
-  }
-}
-BENCHMARK(BM_FlatMatcherConstruction);
 
 void BM_CompiledMatcherConstruction(benchmark::State& state) {
   // The price of freezing a snapshot — what each sweep worker pays once per

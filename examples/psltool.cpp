@@ -367,12 +367,6 @@ int cmd_store_stat(int argc, char** argv) {
   std::printf("  file:      %llu bytes (%.1f%% of %llu standalone bytes)\n",
               static_cast<unsigned long long>(s.file_bytes), 100.0 * s.dedup_ratio(),
               static_cast<unsigned long long>(s.standalone_bytes));
-  std::printf("  segments:  %llu (%llu raw / %llu bytes, %llu delta / %llu bytes)\n",
-              static_cast<unsigned long long>(s.segment_count),
-              static_cast<unsigned long long>(s.raw_segments),
-              static_cast<unsigned long long>(s.raw_bytes),
-              static_cast<unsigned long long>(s.delta_segments),
-              static_cast<unsigned long long>(s.delta_bytes));
   std::printf("  temporal:  %llu bytes (union arena + change points)\n",
               static_cast<unsigned long long>(s.temporal_bytes));
   std::printf("  newest:    %llu rules\n",

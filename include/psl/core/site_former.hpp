@@ -37,7 +37,7 @@ struct SiteAssignment {
   std::size_t site_count = 0;
 };
 
-/// Assign every hostname to a site under any matcher (List, FlatMatcher,
+/// Assign every hostname to a site under any matcher (List,
 /// CompiledMatcher — anything satisfying the Matcher concept). O(total
 /// labels) via one match_view per host; site identity is interned so
 /// comparisons downstream are integer equality. The assignment (ids, keys,

@@ -24,8 +24,8 @@
 // state is a fixed stack array of label offsets. The classic allocating
 // Match is available through the match() adapter.
 //
-// Semantics are byte-identical to List::match / FlatMatcher::match for
-// every input: all three matchers drive the single shared walk in
+// Semantics are byte-identical to List::match for every input: both
+// matchers drive the single shared walk in
 // psl/detail/match_walk.hpp, and tests/psl/matcher_equivalence_test.cpp
 // cross-checks them end to end over generated, fixture, and hostile hosts.
 #pragma once

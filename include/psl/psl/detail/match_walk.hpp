@@ -1,4 +1,4 @@
-// The one match loop all three matchers share.
+// The one match loop both matchers share.
 //
 // The publicsuffix.org algorithm ("longest matching rule prevails;
 // exceptions beat wildcards; otherwise the implicit '*'") is implemented
@@ -15,8 +15,9 @@
 //   bool descend(std::string_view label, std::uint32_t hash)
 //       move to the child for `label` (hash = fnv1a_reverse of the label);
 //       false when no deeper rule shares this path — the walk stops probing.
-//       A cursor that cannot cheaply detect dead paths (FlatMatcher) may
-//       keep returning true; results are identical, only work differs.
+//       A cursor may also descend into nodes that carry no rule, as
+//       psl::store's union arena does at versions that lack a rule below;
+//       results are identical, only work differs.
 //   bool has_wildcard() / Section wildcard_section()
 //       wildcard rule stored on the CURRENT node (queried before descend —
 //       "*.ck" covers whatever label comes next).

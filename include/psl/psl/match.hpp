@@ -1,6 +1,6 @@
 // The shared match-outcome types and the Matcher concept.
 //
-// Every suffix matcher in this library (List, FlatMatcher, CompiledMatcher)
+// Every suffix matcher in this library (List, CompiledMatcher)
 // exposes one primitive with one signature:
 //
 //   MatchView match_view(std::string_view host) const;

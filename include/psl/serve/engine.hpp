@@ -264,10 +264,13 @@ class Engine {
   /// ("store.none" without a store, "store.no-version" before the first
   /// version). Returns the new generation.
   util::Result<std::uint64_t> pin_version(util::Date date);
-  /// Materialize the version in effect at `date` WITHOUT touching the
-  /// serving state — the match_at request path. Cached in the store view,
-  /// so repeated dates are refcount bumps.
-  util::Result<snapshot::Snapshot> version_at(util::Date date) const;
+  /// Answer `hosts` as the stored version in effect at `date` does
+  /// (StoreView::match_at), WITHOUT touching the serving state — the
+  /// match_at request path. Nothing is materialized or cached. Returns the
+  /// version's metadata ("store.none" without a store).
+  util::Result<snapshot::Metadata> match_at(util::Date date,
+                                            std::span<const std::string_view> hosts,
+                                            std::span<MatchView> out) const;
   /// Registrable-domain history of `host` across every stored version.
   util::Result<std::vector<store::DivergenceRange>> divergence(std::string_view host) const;
 

@@ -53,13 +53,9 @@
 //   * load_view borrows the caller's buffer zero-copy — the caller must
 //     keep it alive and 8-byte aligned (mmap, static blobs, arenas).
 //
-// A third entry point, load_view_sections, runs the same validation over the
-// four sections as SEPARATE buffers. psl::store keeps one shared copy of an
-// unchanged section across many list versions, so a materialized version's
-// sections are not contiguous in the store file — but each section is still
-// the canonical bytes the header's checksums commit to, which is how the
-// store proves a reassembled version is bit-identical to its standalone
-// snapshot.
+// A derived snapshot (with_rules) keeps a loaded arena's trie and swaps in
+// other rule bits: psl::store answers one list version from the union arena
+// of every version's rules this way, without re-validating the shared shape.
 #pragma once
 
 #include <cstdint>
@@ -114,9 +110,8 @@ struct Snapshot {
 /// The decoded 96-byte header: metadata, per-section byte layout (offsets
 /// are into the full serialized buffer; sizes stand alone), and the five
 /// stored checksums. parse_header() validates every field invariant but
-/// deliberately does NOT verify the checksums — load_view_sections runs
-/// structural checks first and checksums last, the same order load_view
-/// uses, so corruption diagnostics stay comparable across entry points.
+/// deliberately does NOT verify the checksums — the loaders run structural
+/// checks first and checksums last.
 struct HeaderView {
   Metadata meta;
   std::uint64_t node_count = 0;
@@ -149,19 +144,15 @@ util::Result<Snapshot> load_view(std::span<const std::uint8_t> bytes);
 /// lifetime demands on `bytes`.
 util::Result<Snapshot> load_copy(std::span<const std::uint8_t> bytes);
 
-/// The scattered-buffer loader: run the full validation pipeline (structure
-/// first, checksums last — identical to load_view) over a 96-byte header and
-/// the four sections as separate spans. Each span must be exactly the size
-/// the header declares; nodes/hashes/children must be 8-byte aligned (the
-/// pool is raw chars and may sit anywhere). `retain` keeps every buffer
-/// alive for the returned matcher's lifetime. This is how psl::store
-/// materializes a version zero-copy out of shared per-section segments.
-util::Result<Snapshot> load_view_sections(std::span<const std::uint8_t> header,
-                                          std::span<const std::uint8_t> nodes,
-                                          std::span<const std::uint8_t> hashes,
-                                          std::span<const std::uint8_t> children,
-                                          std::span<const std::uint8_t> pool,
-                                          std::shared_ptr<const void> retain);
+/// `base`'s trie with other rule bits: node n carries rules[n]; the child
+/// ranges, hashes, children and label pool are `base`'s, shared zero-copy.
+/// The shape was validated when `base` was loaded, so only the new bits are
+/// checked: known flags, sections a subset of flags ("snapshot.bad-node"
+/// otherwise, and when rules.size() is not base's node count). The result
+/// holds `retain`, which must keep alive the buffer `base` points into.
+util::Result<Snapshot> with_rules(const Snapshot& base,
+                                  std::span<const CompiledMatcher::NodeRules> rules,
+                                  const Metadata& meta, std::shared_ptr<const void> retain);
 
 /// Read `path` and load_copy its contents. A file whose size changes while
 /// being read (a writer not using the durable tmp+rename publish below) is

@@ -3,51 +3,35 @@
 //
 // The paper's headline result is that *which PSL version you ship* changes
 // which hosts share a site. The store makes that longitudinal corpus — all
-// 1,142 historical list versions — a single mmap-able artifact: an epoch
-// index maps source_date → version record, and each record references the
-// four arena sections (nodes / hashes / children / pool) as shared
-// SEGMENTS, so the 1,142 near-identical versions pay only for what changed
-// between them.
+// 1,142 historical list versions — a single mmap-able artifact holding ONE
+// trie: the union of every rule any version held, with each node's rule
+// bits recorded as a short run of change points over the versions. Every
+// question about one version (match_at, open_version) or about all of them
+// at once (divergence) is answered from that one structure.
 //
 // File layout ("PSLSTOR1", all integers little-endian):
 //
 //   offset  size  field
 //        0     8  magic "PSLSTOR1"
-//        8     4  format version (currently 2)
-//       12     4  header size in bytes (120)
+//        8     4  format version (currently 3)
+//       12     4  header size in bytes (48)
 //       16     8  version count V (>= 1)
-//       24     8  segment count S (>= 1)
-//       32     8  segment table offset
-//       40     8  version table offset
-//       48     8  total file size
-//       56     8  FNV-1a-64 checksum: segment table bytes
-//       64     8  FNV-1a-64 checksum: version table bytes
-//       72     8  newest source date, days since 1970-01-01 (int64)
-//       80     8  summed byte size of the V standalone snapshots
-//       88     8  temporal section offset
-//       96     8  temporal section size
-//      104     8  FNV-1a-64 checksum: temporal section bytes
-//      112     8  FNV-1a-64 checksum over header bytes [0, 112)
+//       24     8  total file size
+//       32     8  summed byte size of the V standalone snapshots
+//       40     8  FNV-1a-64 checksum over every other byte of the file
+//                 ([0, 40) then [48, EOF))
 //
-//   [ header | segment data (each 8-aligned, zero padding) |
-//     temporal section (8-aligned, zero padding after) |
-//     segment table (S x 40 bytes) | version table (V x 112 bytes) ]
+//   [ header | version table (V x 16 bytes) | temporal section ]
 //
-// Format version 1 files (no temporal section) are rejected with
+// Format 1 and 2 files (per-version delta-coded segments) are rejected with
 // store.bad-version; rebuild them with `psltool store build`.
 //
-// Segment table entry (40 bytes): u64 data offset, u64 stored size,
-// u64 decoded size, u64 FNV-1a-64 of the STORED bytes, u32 kind
-// (0 = raw, 1 = delta), u32 base segment index (0xFFFFFFFF for raw; a
-// delta's base always has a smaller index, so chains terminate).
+// Version record (16 bytes): int64 source date (days since 1970-01-01),
+// u64 rule count — the version's snapshot::Metadata. Records are sorted by
+// strictly increasing source date; the epoch index is a binary search over
+// this table.
 //
-// Version record (112 bytes): the version's standalone PSLSNAP1 header,
-// VERBATIM (96 bytes), followed by four u32 segment indices (nodes,
-// hashes, children, pool). Records are sorted by strictly increasing
-// source date — the epoch index is a binary search over this table.
-//
-// Temporal section: one arena over every rule any version held, so a
-// question about all versions at once is one walk, not V. It holds
+// Temporal section: one arena over every rule any version held. It holds
 //   * a PSLSNAP1 snapshot of the union trie (the CompiledMatcher arena
 //     encoding; its own node flags are not read);
 //   * zero padding to 8 bytes, then an epoch index of node_count + 1 u32s:
@@ -56,40 +40,19 @@
 //     flags, u8 section bits, u16 zero. From `first_version` until the
 //     node's next change point the node carries exactly those rule bits; a
 //     node has no rule before its first change point.
-// divergence(host) walks the host's labels once in the union trie, splits
-// the version range at the change points of the nodes on that path, and
-// runs one match per piece with that piece's bits (a handful of walks, a
-// few microseconds, instead of one walk per version).
+// A version's answer is one walk of the union trie reading each node's bits
+// at that version (match_at). The walk descends through nodes that carry
+// no rule without changing the answer, so this equals the version's own
+// trie. divergence(host) walks the host's labels once, splits the version
+// range at the change points of the nodes on that path, and runs one match
+// per piece.
 //
-// Dedup strategy. Whole-section content-hash dedup alone recovers little:
-// inserting one rule shifts child offsets in every later node, so byte-wise
-// the sections diverge globally even when the list barely changed. Segments
-// therefore come in two kinds:
-//   * raw — the section bytes verbatim; mmapped zero-copy.
-//   * delta — an op program against an earlier segment's DECODED bytes:
-//     COPY/INSERT/SKIP plus a strided ADDROW op that applies a constant
-//     per-lane u32 delta across a run of fixed-width rows (the "+1 to both
-//     child offsets in every following node" pattern costs ~8 bytes per
-//     run instead of rewriting the section).
-// The Builder round-trip-verifies every delta it emits (decode(base, ops)
-// must equal the new section bit-for-bit, else it falls back to raw), and
-// forces a raw keyframe when a chain gets deep — so a corrupt encoder can
-// cost space but never correctness.
-//
-// Bit-identity proof. Because the stored standalone header is verbatim and
-// snapshot::load_view_sections re-verifies its five checksums against the
-// reassembled sections, a successfully materialized version is PROVEN equal
-// to the standalone snapshot serialize() would produce — the store cannot
-// silently drift from the per-version ground truth the sweeper uses.
-//
-// Integrity: the header checksum covers the header, the two table checksums
-// cover the tables, each segment's stored bytes are hashed, inter-segment
-// padding must be zero, and materialization re-runs full snapshot
-// validation. The temporal section is checksummed as a whole and fully
-// validated at open: its snapshot through snapshot::load_view, its epoch
+// Integrity: the checksum covers every byte but its own, and open() then
+// validates the version table (strictly increasing dates) and the whole
+// temporal section: its snapshot through snapshot::load_view, its epoch
 // index for monotone in-bounds runs, and every change point for strictly
 // increasing in-range versions and known flag bits. A single flipped byte
-// anywhere in the file is rejected.
+// anywhere in the file is rejected at open.
 //
 // Error codes ("store." prefix, stable):
 //   store.io            file could not be read / mapped / written
@@ -97,11 +60,8 @@
 //   store.bad-version   format version unsupported
 //   store.bad-header    header fields inconsistent
 //   store.truncated     file shorter than the declared layout
-//   store.checksum      header / table / segment checksum mismatch
-//   store.bad-segment   segment table entry invalid (bounds, base, kind)
-//   store.bad-record    version record invalid (dates, indices, sizes)
-//   store.bad-padding   nonzero bytes between segments
-//   store.bad-delta     delta program malformed or decodes wrong
+//   store.checksum      file checksum mismatch
+//   store.bad-record    version record invalid (dates, rule labels)
 //   store.bad-temporal  temporal section invalid (snapshot, index, epochs)
 //   store.out-of-order  Builder::add versions not strictly date-increasing
 //   store.empty         Builder::serialize with no versions
@@ -110,13 +70,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "psl/psl/match.hpp"
 #include "psl/psl/rule.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/util/date.hpp"
@@ -125,16 +85,9 @@
 namespace psl::store {
 
 inline constexpr char kMagic[8] = {'P', 'S', 'L', 'S', 'T', 'O', 'R', '1'};
-inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::size_t kHeaderBytes = 120;
-inline constexpr std::size_t kSegmentEntryBytes = 40;
-inline constexpr std::size_t kVersionRecordBytes = snapshot::kHeaderBytes + 4 * 4;
-inline constexpr std::uint32_t kRawSegment = 0;
-inline constexpr std::uint32_t kDeltaSegment = 1;
-inline constexpr std::uint32_t kNoBase = 0xFFFFFFFFu;
-/// A delta chain longer than this forces a raw keyframe: materializing any
-/// version then costs at most this many decode passes.
-inline constexpr std::uint32_t kMaxChainDepth = 32;
+inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::size_t kHeaderBytes = 48;
+inline constexpr std::size_t kVersionRecordBytes = 16;
 
 /// One change point of a temporal-arena node: from version `first_version`
 /// until the node's next change point, the node carries rule bits `flags` /
@@ -164,11 +117,6 @@ struct Stats {
   std::uint64_t file_bytes = 0;        ///< total store file size
   std::uint64_t standalone_bytes = 0;  ///< summed standalone snapshot sizes
   std::uint64_t version_count = 0;
-  std::uint64_t segment_count = 0;
-  std::uint64_t raw_segments = 0;
-  std::uint64_t delta_segments = 0;
-  std::uint64_t raw_bytes = 0;    ///< stored bytes in raw segments
-  std::uint64_t delta_bytes = 0;  ///< stored bytes in delta programs
   std::uint64_t temporal_bytes = 0;  ///< temporal section (union arena + epochs)
 
   /// Store size as a fraction of shipping every version standalone; the
@@ -181,17 +129,14 @@ struct Stats {
 };
 
 /// Read side: an immutable, fully validated view over one mmapped store
-/// file. Thread-safe; materialized versions and decoded delta segments are
-/// cached internally (shared, built at most once). Snapshots returned by
-/// open_version keep the mapping and any decoded buffers alive via their
-/// retain pointer, so they remain valid after the StoreView is destroyed.
+/// file. Thread-safe and stateless after open: no query allocates anything
+/// the view keeps. Snapshots returned by open_version keep the mapping alive
+/// via their retain pointer, so they remain valid after the StoreView is
+/// destroyed.
 class StoreView {
  public:
-  /// mmap `path` read-only and validate everything except the per-version
-  /// snapshot internals (those are re-verified by materialization): header,
-  /// table checksums, segment bounds/hashes/padding, record ordering,
-  /// section sizes and the whole temporal section. Cheap per version; one
-  /// pass over the file for hashes.
+  /// mmap `path` read-only and validate all of it: header, file checksum,
+  /// version table and the whole temporal section.
   static util::Result<std::shared_ptr<const StoreView>> open(const std::string& path);
 
   ~StoreView();
@@ -199,8 +144,8 @@ class StoreView {
   StoreView& operator=(const StoreView&) = delete;
 
   std::size_t version_count() const noexcept { return versions_.size(); }
-  util::Date version_date(std::size_t v) const noexcept { return versions_[v].meta.source_date; }
-  std::uint64_t rule_count(std::size_t v) const noexcept { return versions_[v].meta.rule_count; }
+  util::Date version_date(std::size_t v) const noexcept { return versions_[v].source_date; }
+  std::uint64_t rule_count(std::size_t v) const noexcept { return versions_[v].rule_count; }
   const std::string& path() const noexcept { return path_; }
   const Stats& stats() const noexcept { return stats_; }
 
@@ -208,11 +153,23 @@ class StoreView {
   /// ("store.no-version" when `date` precedes the first version).
   util::Result<std::size_t> version_index_at(util::Date date) const;
 
-  /// Materialize version `v` through snapshot::load_view_sections — full
-  /// structural + checksum validation against the verbatim standalone
-  /// header. Raw sections are served zero-copy from the mapping; delta
-  /// sections decode once into a shared cached buffer. The result is
-  /// cached: repeated opens are two atomic refcount bumps.
+  /// Answer `hosts` as the version in effect at `date` does: out[i] is that
+  /// version's match_view(hosts[i]) for the first min(hosts.size(),
+  /// out.size()) hosts. Each host is one walk of the union arena reading
+  /// every node's rule bits at that version; nothing is materialized, locked
+  /// or cached. The views point into the caller's host buffers. Returns the
+  /// version's metadata.
+  util::Result<snapshot::Metadata> match_at(util::Date date,
+                                            std::span<const std::string_view> hosts,
+                                            std::span<MatchView> out) const;
+
+  /// Version `v` as a standalone Snapshot, for callers that serve one
+  /// version (psld boot, Engine::pin_version): the union arena with every
+  /// node's rule bits set to version v's (snapshot::with_rules). Only the
+  /// node array is built; hashes, children and pool are shared zero-copy
+  /// with the mapping. It answers exactly like version v's own arena, but
+  /// its bytes are not that arena's: it keeps the union's rule-less nodes.
+  /// Nothing is cached.
   util::Result<snapshot::Snapshot> open_version(std::size_t v) const;
 
   /// version_index_at + open_version.
@@ -221,27 +178,11 @@ class StoreView {
   /// The paper's Fig. 7 question as a query: how did `host`'s registrable
   /// domain evolve across every stored list version? Returns consecutive
   /// equal-domain runs covering the whole version range, oldest first.
-  /// Answered from the temporal section without materializing any version:
-  /// one walk finds the versions where a rule on the host's path changes,
-  /// then one match per unchanged piece. Each answer equals the version's
-  /// own matcher's, which is equivalence-tested against List::match.
+  /// One walk finds the versions where a rule on the host's path changes,
+  /// then one match per unchanged piece.
   util::Result<std::vector<DivergenceRange>> divergence(std::string_view host) const;
 
  private:
-  struct Segment {
-    std::uint64_t offset = 0;   ///< of the stored bytes, within the file
-    std::uint64_t stored = 0;   ///< stored byte count
-    std::uint64_t decoded = 0;  ///< decoded byte count (== stored for raw)
-    std::uint64_t hash = 0;     ///< FNV-1a-64 of the stored bytes
-    std::uint32_t kind = kRawSegment;
-    std::uint32_t base = kNoBase;
-  };
-  struct VersionRecord {
-    snapshot::Metadata meta;
-    std::uint64_t header_offset = 0;  ///< of the verbatim 96-byte header
-    std::uint32_t seg[4] = {0, 0, 0, 0};  ///< nodes, hashes, children, pool
-    std::uint64_t section_bytes[4] = {0, 0, 0, 0};
-  };
   struct Mapping;  // RAII mmap, defined in store.cpp
 
   StoreView() = default;
@@ -255,51 +196,38 @@ class StoreView {
   std::span<const Epoch> epochs_of(std::uint32_t node) const noexcept {
     return epochs_.subspan(epoch_index_[node], epoch_index_[node + 1] - epoch_index_[node]);
   }
-
-  /// Decoded bytes of segment `s` plus whatever keeps them alive (null for
-  /// raw segments — the mapping itself is retained separately).
-  util::Result<std::pair<std::span<const std::uint8_t>, std::shared_ptr<const void>>>
-  segment_bytes(std::uint32_t s) const;
+  /// Version `version`'s answer for `host`: one walk of the union arena.
+  MatchView match_version(std::uint32_t version, std::string_view host) const noexcept;
 
   std::string path_;
   std::shared_ptr<const Mapping> mapping_;
-  std::vector<Segment> segments_;
-  std::vector<VersionRecord> versions_;
+  std::vector<snapshot::Metadata> versions_;
   Stats stats_;
   /// The temporal section: the union arena (zero-copy into the mapping) and
   /// its per-node change points.
   std::optional<snapshot::Snapshot> temporal_;
   std::span<const std::uint32_t> epoch_index_;
   std::span<const Epoch> epochs_;
-
-  mutable std::mutex cache_mutex_;
-  /// Decoded delta segments, indexed by segment id (unset for raw / not yet
-  /// decoded). u64 storage gives the 8-byte alignment sections require.
-  mutable std::vector<std::shared_ptr<const std::vector<std::uint64_t>>> decoded_;
-  mutable std::vector<std::optional<snapshot::Snapshot>> materialized_;
 };
 
 /// Write side: accumulate versions (strictly increasing source date), then
-/// serialize / publish. Deduplicates sections by content hash, delta-encodes
-/// against the previous version's sections, and round-trip-verifies every
-/// delta before trusting it. Alongside, it merges each version's trie into
-/// the temporal arena, noting where every node's rule bits change. Not
-/// thread-safe; build once, publish once.
+/// serialize / publish. Each version's trie is merged into the temporal
+/// arena, noting where every node's rule bits change. Not thread-safe;
+/// build once, publish once.
 class Builder {
  public:
   Builder() = default;
 
-  /// Add one version from its serialized standalone snapshot bytes (the
-  /// canonical form — the 96-byte header is stored verbatim). Validates via
-  /// the snapshot loader first; the arena must also be a tree whose labels
-  /// are canonical rule labels, as every compiled List is
+  /// Add one version from its serialized standalone snapshot bytes.
+  /// Validates via the snapshot loader first; the arena must also be a tree
+  /// whose labels are canonical rule labels, as every compiled List is
   /// ("store.bad-record" otherwise). Returns the version index.
   util::Result<std::size_t> add_snapshot(std::span<const std::uint8_t> snapshot_bytes);
 
   /// serialize(matcher, meta) + add_snapshot.
   util::Result<std::size_t> add(const CompiledMatcher& matcher, const snapshot::Metadata& meta);
 
-  std::size_t version_count() const noexcept { return records_.size(); }
+  std::size_t version_count() const noexcept { return versions_.size(); }
   /// Stats as of the versions added so far (file_bytes = serialized size).
   Stats stats() const;
 
@@ -311,19 +239,6 @@ class Builder {
   util::Result<std::uint64_t> write_file(const std::string& path) const;
 
  private:
-  struct BuiltSegment {
-    std::string stored;                          ///< raw bytes or delta program
-    std::shared_ptr<const std::string> decoded;  ///< full section bytes
-    std::uint64_t hash = 0;                      ///< FNV-1a-64 of `stored`
-    std::uint32_t kind = kRawSegment;
-    std::uint32_t base = kNoBase;
-    std::uint32_t chain_depth = 0;  ///< 0 for raw
-  };
-  struct Record {
-    std::string header;  ///< the verbatim 96-byte standalone header
-    snapshot::Metadata meta;
-    std::uint32_t seg[4] = {0, 0, 0, 0};
-  };
   /// One edge of the temporal trie.
   struct TemporalChild {
     std::uint32_t hash = 0;  ///< detail::fnv1a_reverse(label)
@@ -338,12 +253,6 @@ class Builder {
     std::optional<Rule> rule;   ///< the path as a normal rule (none for the root)
     std::vector<Epoch> epochs;  ///< change points, by increasing version
   };
-
-  /// Intern one section: content-hash dedup, then delta vs. the previous
-  /// version's segment, then raw. `row_width` is the section's record width
-  /// in u32 lanes (0 = unstructured bytes, for the pool).
-  std::uint32_t intern_section(std::span<const std::uint8_t> bytes, std::size_t row_width,
-                               const std::uint32_t* prev_segment);
 
   /// Merge one validated arena into the temporal trie as version `version`.
   util::Result<bool> add_temporal(const snapshot::HeaderView& h,
@@ -361,11 +270,7 @@ class Builder {
   /// once per set of added versions and kept for stats() and serialize().
   const std::string& temporal_section() const;
 
-  std::vector<BuiltSegment> segments_;
-  std::vector<Record> records_;
-  /// content hash of DECODED section bytes -> segment ids with that hash
-  /// (collisions resolved by byte compare).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> dedup_;
+  std::vector<snapshot::Metadata> versions_;
   std::uint64_t standalone_bytes_ = 0;
   std::vector<TemporalNode> temporal_ = std::vector<TemporalNode>(1);
   /// temporal_section()'s bytes; empty until built, cleared by every add.

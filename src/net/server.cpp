@@ -1109,9 +1109,9 @@ void Server::run_stats(const Pinned& pinned, std::span<const std::uint8_t>, std:
   end_frame(out, frame_begin);
 }
 
-// The time-travel requests (psl::store). Version resolution and
-// materialization run on the worker (a cold version may decode delta
-// chains), so store-level errors are encoded here like any other response.
+// The time-travel requests (psl::store). Both run on the worker and walk
+// the store's union arena directly; store-level errors are encoded here
+// like any other response.
 void Server::run_match_at(const Pinned&, std::span<const std::uint8_t> payload,
                           std::uint32_t id, std::vector<std::uint8_t>& out) {
   thread_local std::vector<std::string_view> hosts;
@@ -1122,16 +1122,15 @@ void Server::run_match_at(const Pinned&, std::span<const std::uint8_t> payload,
     append_status(out, FrameType::kMatchAt, id, Status::kMalformed, "store.no-version");
     return;
   }
-  const auto snap = engine_.version_at(util::Date{static_cast<std::int32_t>(days)});
-  if (!snap.ok()) {
-    append_status(out, FrameType::kMatchAt, id, store_status(snap.error()), snap.error().code);
+  views.resize(hosts.size());
+  const auto meta = engine_.match_at(util::Date{static_cast<std::int32_t>(days)}, hosts, views);
+  if (!meta.ok()) {
+    append_status(out, FrameType::kMatchAt, id, store_status(meta.error()), meta.error().code);
     return;
   }
-  views.resize(hosts.size());
-  snap->matcher.match_batch(hosts, views);
   const std::size_t frame_begin = begin_ok(out, FrameType::kMatchAt, id);
-  put_date(out, snap->meta.source_date);
-  put_u64(out, snap->meta.rule_count);
+  put_date(out, meta->source_date);
+  put_u64(out, meta->rule_count);
   put_match_views(out, views);
   end_frame(out, frame_begin);
   engine_.count_queries(hosts.size());

@@ -180,6 +180,12 @@ util::Result<HeaderView> parse_header(std::span<const std::uint8_t> header) {
   return h;
 }
 
+namespace {
+
+/// The validation pipeline over a 96-byte header and the four sections as
+/// separate spans (structure first, checksums last). Each span must be
+/// exactly the size the header declares; nodes/hashes/children must be
+/// 8-byte aligned. `retain` keeps the buffer alive for the matcher.
 util::Result<Snapshot> load_view_sections(std::span<const std::uint8_t> header,
                                           std::span<const std::uint8_t> nodes_bytes,
                                           std::span<const std::uint8_t> hashes_bytes,
@@ -318,8 +324,6 @@ util::Result<Snapshot> load_view_sections(std::span<const std::uint8_t> header,
   return Snapshot{Access::adopt(nodes, hashes, children, pool, std::move(retain)), h.meta};
 }
 
-namespace {
-
 /// The contiguous-buffer pipeline: header + layout/padding checks over one
 /// 8-byte-aligned buffer, then the shared scattered-section validator over
 /// exact subspans. Checksums still run LAST, deliberately: a fuzzer that
@@ -406,6 +410,37 @@ std::string serialize(const CompiledMatcher& matcher, const Metadata& meta) {
   out.resize(static_cast<std::size_t>(l.pool_off), '\0');
   out.append(pool.data(), pool.size());
   return out;
+}
+
+util::Result<Snapshot> with_rules(const Snapshot& base,
+                                  std::span<const CompiledMatcher::NodeRules> rules,
+                                  const Metadata& meta, std::shared_ptr<const void> retain) {
+  const std::span<const Node> shape = Access::nodes(base.matcher);
+  if (rules.size() != shape.size()) {
+    return err("snapshot.bad-node", std::to_string(rules.size()) + " rule sets for " +
+                                        std::to_string(shape.size()) + " nodes");
+  }
+  struct Owned {
+    std::shared_ptr<const void> base;
+    std::vector<Node> nodes;
+  };
+  auto owned = std::make_shared<Owned>();
+  owned->base = std::move(retain);
+  owned->nodes.assign(shape.begin(), shape.end());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const CompiledMatcher::NodeRules r = rules[i];
+    if ((r.flags & ~Access::known_flags()) != 0 ||
+        (r.sections & static_cast<std::uint8_t>(~r.flags)) != 0) {
+      return err("snapshot.bad-node", "unknown flag bits at node " + std::to_string(i));
+    }
+    owned->nodes[i].flags = r.flags;
+    owned->nodes[i].sections = r.sections;
+  }
+  const std::span<const Node> nodes(owned->nodes);
+  return Snapshot{Access::adopt(nodes, Access::hashes(base.matcher),
+                                Access::children(base.matcher), Access::pool(base.matcher),
+                                std::move(owned)),
+                  meta};
 }
 
 util::Result<Snapshot> load_view(std::span<const std::uint8_t> bytes) {

@@ -23,10 +23,9 @@ util::Result<std::uint64_t> Engine::adopt_store(std::shared_ptr<const store::Sto
     if (reload_failure_) reload_failure_->add();
     return util::make_error("store.none", "adopt_store called with a null store view");
   }
-  // Materialize the newest version BEFORE publishing anything: a store whose
-  // tip fails full snapshot validation must leave both the current store and
-  // the serving state untouched (keep-last-good, same contract as
-  // reload_snapshot).
+  // Build the newest version BEFORE publishing anything: if that fails, both
+  // the current store and the serving state stay untouched (keep-last-good,
+  // same contract as reload_snapshot).
   auto snap = view->open_version(view->version_count() - 1);
   if (!snap.ok()) {
     if (reload_failure_) reload_failure_->add();
@@ -44,19 +43,26 @@ std::shared_ptr<const store::StoreView> Engine::store_view() const {
   return store_;
 }
 
-util::Result<snapshot::Snapshot> Engine::version_at(util::Date date) const {
-  const auto view = store_view();
-  if (!view) return util::make_error("store.none", "engine has no store attached");
-  return view->open_at(date);
-}
-
 util::Result<std::uint64_t> Engine::pin_version(util::Date date) {
-  auto snap = version_at(date);
+  const auto view = store_view();
+  if (!view) {
+    if (reload_failure_) reload_failure_->add();
+    return util::make_error("store.none", "engine has no store attached");
+  }
+  auto snap = view->open_at(date);
   if (!snap.ok()) {
     if (reload_failure_) reload_failure_->add();
     return snap.error();
   }
   return swap(std::move(*snap));
+}
+
+util::Result<snapshot::Metadata> Engine::match_at(util::Date date,
+                                                  std::span<const std::string_view> hosts,
+                                                  std::span<MatchView> out) const {
+  const auto view = store_view();
+  if (!view) return util::make_error("store.none", "engine has no store attached");
+  return view->match_at(date, hosts, out);
 }
 
 util::Result<std::vector<store::DivergenceRange>> Engine::divergence(

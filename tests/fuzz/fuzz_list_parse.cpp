@@ -4,10 +4,10 @@
 // Invariants:
 //   - arbitrary bytes never crash the list parser: every outcome is a List
 //     or a clean Result error
-//   - for an accepted list, List::match, FlatMatcher::match_view,
-//     CompiledMatcher::match_view, one CompiledMatcher::match_batch call
-//     and one reg_domain_batch call agree field by field on every host built
-//     from the list's own labels and fragments of the input
+//   - for an accepted list, List::match, CompiledMatcher::match_view, one
+//     CompiledMatcher::match_batch call and one reg_domain_batch call agree
+//     field by field on every host built from the list's own labels and
+//     fragments of the input
 //
 // Two input modes keep the oracle busy. With the first byte even, the input
 // is the list text verbatim. With it odd, only the input lines that parse on
@@ -20,7 +20,6 @@
 
 #include "fuzz_common.hpp"
 #include "psl/psl/compiled_matcher.hpp"
-#include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/strings.hpp"
@@ -79,7 +78,6 @@ std::vector<std::string> hosts_for(const psl::List& list, std::string_view input
 }
 
 void check_matchers_agree(const psl::List& list, std::string_view input) {
-  const psl::FlatMatcher flat(list);
   const psl::CompiledMatcher compiled(list);
   const std::vector<std::string> storage = hosts_for(list, input);
   const std::vector<std::string_view> hosts(storage.begin(), storage.end());
@@ -92,7 +90,6 @@ void check_matchers_agree(const psl::List& list, std::string_view input) {
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const psl::MatchView trie = list.match_view(hosts[i]);
     const psl::MatchView arena = compiled.match_view(hosts[i]);
-    if (!same_view(trie, flat.match_view(hosts[i]))) __builtin_trap();
     if (!same_view(trie, arena)) __builtin_trap();
     if (!same_view(arena, batched[i])) __builtin_trap();
     if (keys[i].in(hosts[i]) != arena.registrable_domain) __builtin_trap();

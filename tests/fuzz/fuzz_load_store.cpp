@@ -1,20 +1,21 @@
-// Fuzz harness for psl::store's loader: StoreView::open, open_version and
-// divergence over the temporal section.
+// Fuzz harness for psl::store's loader: StoreView::open, then open_version,
+// match_at and divergence over the temporal section.
 //
 // Invariants:
-//   - arbitrary bytes never crash open / open_version / divergence: every
-//     outcome is a valid view or a clean "store.*" (open) or "store.*" /
-//     "snapshot.*" (open_version) Result error, with no UB (the ASan/UBSan
-//     smoke job runs this harness)
+//   - arbitrary bytes never crash open: every outcome is a valid view or a
+//     clean "store.*" Result error, with no UB (the ASan/UBSan smoke job
+//     runs this harness)
+//   - a store that opens is fully validated: every version materializes
+//     through open_version, and match_at answers each host exactly as that
+//     materialized version does
 //   - a store that opens answers divergence() for any host with ranges that
 //     tile the whole version range, oldest first
 //
 // Three input modes keep coverage deep: raw bytes exercise the header gates;
 // mutations of a known-valid store reach the checksum checks; and
-// mutations that are then re-sealed (every checksum recomputed from the
-// mutated layout) reach the structural checks behind the checksums — the
-// segment table, the version records and the temporal section's index and
-// change points.
+// mutations that are then re-sealed (the file checksum recomputed) reach
+// the structural checks behind it — the version records and the temporal
+// section's snapshot, index and change points.
 #include <unistd.h>
 
 #include <cstdio>
@@ -48,8 +49,8 @@ const std::string& valid_store() {
   return bytes;
 }
 
-std::uint64_t fnv1a64(const std::uint8_t* p, std::uint64_t len) {
-  std::uint64_t h = 14695981039346656037ull;
+std::uint64_t fnv1a64(const std::uint8_t* p, std::uint64_t len,
+                      std::uint64_t h = 14695981039346656037ull) {
   for (std::uint64_t i = 0; i < len; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;
@@ -57,42 +58,17 @@ std::uint64_t fnv1a64(const std::uint8_t* p, std::uint64_t len) {
   return h;
 }
 
-std::uint64_t get_u64(const std::vector<std::uint8_t>& b, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
-  return v;
-}
-
 void put_u64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/// Recompute every checksum the store file layout (store.hpp) declares,
-/// wherever the mutated header still points inside the blob.
+/// Recompute the file checksum the store layout (store.hpp) declares: every
+/// byte but the checksum field itself.
 void reseal(std::vector<std::uint8_t>& b) {
   const std::size_t header = psl::store::kHeaderBytes;
   if (b.size() < header) return;
-  const auto in_range = [&](std::uint64_t off, std::uint64_t len) {
-    return off <= b.size() && len <= b.size() - off;
-  };
-  const std::uint64_t segments = get_u64(b, 24), seg_off = get_u64(b, 32),
-                      ver_off = get_u64(b, 40);
-  const std::uint64_t temporal_off = get_u64(b, 88), temporal_bytes = get_u64(b, 96);
-  for (std::uint64_t i = 0; i < segments && in_range(seg_off + i * 40, 40); ++i) {
-    const std::size_t e = static_cast<std::size_t>(seg_off + i * 40);
-    const std::uint64_t off = get_u64(b, e), stored = get_u64(b, e + 8);
-    if (in_range(off, stored)) put_u64(b, e + 24, fnv1a64(b.data() + off, stored));
-  }
-  if (seg_off <= ver_off && in_range(seg_off, ver_off - seg_off)) {
-    put_u64(b, 56, fnv1a64(b.data() + seg_off, ver_off - seg_off));
-  }
-  if (in_range(ver_off, b.size() - ver_off)) {
-    put_u64(b, 64, fnv1a64(b.data() + ver_off, b.size() - ver_off));
-  }
-  if (in_range(temporal_off, temporal_bytes)) {
-    put_u64(b, 104, fnv1a64(b.data() + temporal_off, temporal_bytes));
-  }
-  put_u64(b, header - 8, fnv1a64(b.data(), header - 8));
+  const std::uint64_t head = fnv1a64(b.data(), header - 8);
+  put_u64(b, header - 8, fnv1a64(b.data() + header, b.size() - header, head));
 }
 
 /// One temporary file per process, removed at exit.
@@ -149,18 +125,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     return 0;
   }
   const psl::store::StoreView& store = **view;
-  for (std::size_t v = 0; v < store.version_count(); ++v) {
-    const auto snap = store.open_version(v);
-    if (snap.ok()) {
-      snap->matcher.match_view("a.b.co.uk");
-    } else if (!has_prefix(snap.error().code, "store.") &&
-               !has_prefix(snap.error().code, "snapshot.")) {
-      __builtin_trap();
-    }
-  }
   static const std::vector<std::string> hosts = {
       "a.b.co.uk", "x.t.ck", "www.ck", "", "com", "a..b", std::string(300, '.'),
       std::string(400, 'a') + ".ck"};
+  const std::vector<std::string_view> host_views(hosts.begin(), hosts.end());
+  std::vector<psl::MatchView> answers(hosts.size());
+  for (std::size_t v = 0; v < store.version_count(); ++v) {
+    const auto snap = store.open_version(v);
+    const auto meta = store.match_at(store.version_date(v), host_views, answers);
+    if (!snap.ok() || !meta.ok() || meta->source_date != store.version_date(v)) {
+      __builtin_trap();
+    }
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      const psl::MatchView want = snap->matcher.match_view(hosts[i]);
+      if (want.public_suffix != answers[i].public_suffix ||
+          want.registrable_domain != answers[i].registrable_domain) {
+        __builtin_trap();
+      }
+    }
+  }
   for (const std::string& host : hosts) {
     const auto ranges = store.divergence(host);
     if (!ranges.ok() || ranges->empty()) __builtin_trap();

@@ -1,7 +1,6 @@
-// Differential suite over all four matcher paths: the reversed-label trie
-// (List::match), the per-depth hash-probing baseline (FlatMatcher), the
-// arena-compiled matcher (CompiledMatcher::match_view), and the batched
-// entry point (CompiledMatcher::match_batch). All implement the
+// Differential suite over all three matcher paths: the reversed-label trie
+// (List::match), the arena-compiled matcher (CompiledMatcher::match_view),
+// and the batched entry point (CompiledMatcher::match_batch). All implement the
 // publicsuffix.org algorithm and must agree *exactly* — public suffix,
 // registrable domain, explicitness, section, rule-label count, and the
 // canonical prevailing-rule text — on every input: generated hosts,
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "psl/psl/compiled_matcher.hpp"
-#include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/psl/match.hpp"
 #include "psl/util/namegen.hpp"
@@ -29,7 +27,7 @@ namespace {
 // The suite is written against the Matcher concept: every implementation is
 // queried through the one unified entry point (match_view) and any model of
 // the concept can be dropped into the pack below.
-static_assert(Matcher<List> && Matcher<FlatMatcher> && Matcher<CompiledMatcher>);
+static_assert(Matcher<List> && Matcher<CompiledMatcher>);
 
 /// All matchers in the pack must produce an identical Match for `host`.
 template <Matcher... Ms>
@@ -48,9 +46,9 @@ void expect_matchers_agree(const std::string& host, const Ms&... matchers) {
   }
 }
 
-void expect_all_agree(const List& list, const FlatMatcher& flat, const CompiledMatcher& compiled,
+void expect_all_agree(const List& list, const CompiledMatcher& compiled,
                       const std::string& host) {
-  expect_matchers_agree(host, list, flat, compiled);
+  expect_matchers_agree(host, list, compiled);
 
   // The zero-allocation view and its allocating adapter must tell one story.
   const Match a = list.match(host);
@@ -116,7 +114,6 @@ class MatcherEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {}
 TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
   const std::uint64_t seed = GetParam();
   const List list = random_list(seed, 140);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(seed);
 
@@ -129,7 +126,7 @@ TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
       host += pool[rng.below(pool.size())];
     }
     if (rng.chance(0.05)) host.push_back('.');  // trailing dot tolerance
-    expect_all_agree(list, flat, compiled, host);
+    expect_all_agree(list, compiled, host);
   }
 }
 
@@ -163,7 +160,6 @@ blogspot.com
 )");
   ASSERT_TRUE(parsed.ok());
   const List& list = *parsed;
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
 
   // (host, expected registrable domain; "" = host is/contains only a suffix).
@@ -211,13 +207,12 @@ blogspot.com
   };
   for (const auto& [host, registrable] : cases) {
     EXPECT_EQ(list.match(host).registrable_domain, registrable) << host;
-    expect_all_agree(list, flat, compiled, host);
+    expect_all_agree(list, compiled, host);
   }
 }
 
 TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
   const List list = random_list(4096, 120);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
 
   const std::vector<std::string> hostile = {
@@ -227,7 +222,7 @@ TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
       "-",     "a-.b",     std::string(300, 'a'),        "a." + std::string(200, 'b'),
       std::string(64, '.') + "com",      "x" + std::string(100, '.') + "y",
   };
-  for (const std::string& host : hostile) expect_all_agree(list, flat, compiled, host);
+  for (const std::string& host : hostile) expect_all_agree(list, compiled, host);
 
   // Random byte blobs, dots included with high probability.
   util::Rng rng(777);
@@ -236,7 +231,7 @@ TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
     std::string host;
     const std::size_t len = rng.below(24);
     for (std::size_t c = 0; c < len; ++c) host += alphabet[rng.below(alphabet.size())];
-    expect_all_agree(list, flat, compiled, host);
+    expect_all_agree(list, compiled, host);
   }
 }
 
@@ -304,7 +299,6 @@ TEST(MatcherEquivalenceTest, AgreeUnderIncrementalMutation) {
       }
     }
 
-    const FlatMatcher flat(list);
     const CompiledMatcher compiled(list);
     for (int i = 0; i < 200; ++i) {
       std::string host;
@@ -313,7 +307,7 @@ TEST(MatcherEquivalenceTest, AgreeUnderIncrementalMutation) {
         if (!host.empty()) host.push_back('.');
         host += pool[rng.below(pool.size())];
       }
-      expect_all_agree(list, flat, compiled, host);
+      expect_all_agree(list, compiled, host);
     }
   }
 }
@@ -322,7 +316,6 @@ TEST(MatcherEquivalenceTest, GenericSameSiteAgreesAcrossMatchers) {
   // psl::same_site is one template over the Matcher concept; instantiated
   // against each implementation it must agree with the List member.
   const List list = random_list(31337, 120);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(31337);
 
@@ -341,7 +334,6 @@ TEST(MatcherEquivalenceTest, GenericSameSiteAgreesAcrossMatchers) {
     const std::string b = rng.chance(0.3) ? a : make_host();
     const bool expected = list.same_site(a, b);
     EXPECT_EQ(same_site(list, a, b), expected) << a << " vs " << b;
-    EXPECT_EQ(same_site(flat, a, b), expected) << a << " vs " << b;
     EXPECT_EQ(same_site(compiled, a, b), expected) << a << " vs " << b;
   }
 }

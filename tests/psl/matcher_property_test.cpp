@@ -1,5 +1,5 @@
 // Property tests over the two matcher implementations: the reversed-label
-// trie (List::match) and the per-depth hash-probing baseline (FlatMatcher).
+// trie (List::match) and the arena-compiled matcher (CompiledMatcher).
 // Both implement the publicsuffix.org algorithm, so on any input they must
 // agree exactly; and several structural invariants must hold for every
 // host under every list.
@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "psl/psl/flat_matcher.hpp"
+#include "psl/psl/compiled_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
@@ -68,17 +68,17 @@ std::vector<std::string> shared_pool(std::uint64_t seed) {
 
 class MatcherAgreementTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MatcherAgreementTest, TrieAndFlatMatcherAgreeEverywhere) {
+TEST_P(MatcherAgreementTest, TrieAndCompiledMatcherAgreeEverywhere) {
   const std::uint64_t seed = GetParam();
   const List list = random_list(seed, 120);
-  const FlatMatcher flat(list);
+  const CompiledMatcher compiled(list);
   const auto pool = shared_pool(seed);
 
   util::Rng rng(seed ^ 0xABCDEF);
   for (int i = 0; i < 3000; ++i) {
     const std::string host = random_host(rng, pool);
     const Match a = list.match(host);
-    const Match b = flat.match(host);
+    const Match b = compiled.match(host);
     ASSERT_EQ(a.public_suffix, b.public_suffix) << host;
     ASSERT_EQ(a.registrable_domain, b.registrable_domain) << host;
     ASSERT_EQ(a.matched_explicit_rule, b.matched_explicit_rule) << host;
