@@ -245,11 +245,12 @@ double run_cell(const psl::snapshot::Snapshot& seed, const std::vector<std::stri
 
 // --- SO_REUSEPORT shard scaling (bench_net_qps --shards N) ------------------
 //
-// The multi-process deployment measured honestly: N forked server processes
-// (each its own engine + event loop) bind one port via SO_REUSEPORT, and the
-// kernel spreads client connections across them — exactly psld --shards,
-// minus the latch/reload machinery that doesn't move packets. Baseline is
-// the same setup with ONE process, so the ratio isolates what sharding buys.
+// Kernel load-balancing measured across processes: N forked server
+// processes (each its own engine + event loop) bind one port via
+// SO_REUSEPORT, and the kernel spreads client connections across them.
+// psld --shards is not this: it runs N loops over ONE engine in one process
+// (bench/layers measures that as the fleet.shards2 row). Baseline is the
+// same setup with ONE process, so the ratio isolates what N processes buy.
 
 /// Bind a SO_REUSEPORT placeholder to pick the group's ephemeral port (never
 /// listens, so it receives nothing). Returns the fd; fills `port`.

@@ -5,11 +5,19 @@
 //
 //   $ psld --listen 127.0.0.1:7878 (--snapshot list.psnap | --store hist.pstore)
 //          [--threads N] [--max-conns N] [--queue-depth N]
-//          [--max-frame BYTES] [--backend auto|epoll|poll] [--analytics]
+//          [--max-frame BYTES] [--backend auto|epoll|poll] [--udp]
+//          [--shards N] [--analytics]
 //
 //   Boots a serve::Engine from the validated snapshot file — or, with
 //   --store, from the newest version of a multi-version psl::store file,
 //   which additionally enables the match_at / divergence time-travel frames.
+//   Either file is read into memory psld owns, so rewriting it in place
+//   under a running daemon cannot change or crash what it serves.
+//
+//   --shards N runs N event loops in this one process, joined on one port
+//   by SO_REUSEPORT, over that one engine (N x --threads workers). Every
+//   loop answers from the same generation, census and push channel; a
+//   crash ends the whole process, and its supervisor restarts it.
 //   Signal handlers are installed BEFORE the listener goes live (and before
 //   the snapshot load), so a supervisor that signals the moment the process
 //   exists still gets the contract below instead of the default disposition:
@@ -41,6 +49,7 @@
 //
 // Wire payloads (notably reload snapshots) are bounded by the frame cap;
 // --max-frame raises it on both the server and the client subcommands.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -54,15 +63,10 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "psl/analytics/census.hpp"
 #include "psl/net/client.hpp"
-#include "psl/net/latch.hpp"
 #include "psl/net/server.hpp"
 #include "psl/obs/json.hpp"
 #include "psl/obs/metrics.hpp"
@@ -80,7 +84,7 @@ namespace {
 int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void on_signal(int sig) {
-  const std::uint8_t byte = sig == SIGHUP ? 'H' : sig == SIGCHLD ? 'C' : 'T';
+  const std::uint8_t byte = sig == SIGHUP ? 'H' : 'T';
   (void)!::write(g_signal_pipe[1], &byte, 1);
 }
 
@@ -92,9 +96,10 @@ int usage() {
                "       [--backend auto|epoll|poll] [--udp]\n"
                "       [--shards N] [--analytics]\n"
                "PORT 0 asks the kernel for an ephemeral port; the banner names it.\n"
-               "--shards N forks N acceptor processes sharing the port via\n"
-               "SO_REUSEPORT and the snapshot via a shared mapping (requires\n"
-               "--snapshot; publish new snapshots by rename, never in place).\n"
+               "--shards N runs N event loops in one process on one SO_REUSEPORT\n"
+               "port over one engine (--threads is per shard). Files are read\n"
+               "into memory; publish new ones by rename (a reload that reads a\n"
+               "half-written file rejects it and keeps serving the last good one).\n"
                "  psld compile LIST_FILE OUT_SNAPSHOT\n"
                "  psld query  ADDR:PORT HOST...\n"
                "  psld match-at ADDR:PORT YYYY-MM-DD HOST...\n"
@@ -400,261 +405,6 @@ struct ServeConfig {
   bool analytics = false;
 };
 
-// One shard: engine + server + signal loop, run in a forked child. The shard
-// maps the SAME snapshot file as every other shard (load_file_view — one
-// physical copy in the page cache) and installs it as the latch's current
-// generation, so a respawned shard rejoins the fleet at the fleet's number,
-// not at 1. SIGHUP (forwarded by the parent AFTER it bumped the latch) makes
-// the shard reload the file as the published generation.
-int shard_main(const ServeConfig& cfg, std::size_t shard_index,
-               const psl::net::GenerationLatch& latch, int placeholder_fd) {
-  if (placeholder_fd >= 0) ::close(placeholder_fd);
-  // The inherited signal pipe belongs to the parent; a shard writing into it
-  // would feed the parent's loop. Re-plumb before anything can signal us.
-  ::close(g_signal_pipe[0]);
-  ::close(g_signal_pipe[1]);
-  if (::pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "psld: shard %zu pipe: %s\n", shard_index, std::strerror(errno));
-    return 1;
-  }
-  ::signal(SIGCHLD, SIG_DFL);  // shards do not fork
-
-  psl::obs::MetricsRegistry metrics;
-  psl::serve::EngineOptions engine_options;
-  engine_options.threads = cfg.threads;
-  engine_options.max_queue_depth = cfg.queue_depth;
-  engine_options.metrics = &metrics;
-  engine_options.initial_generation = latch.generation();
-  if (cfg.analytics) {
-    engine_options.census_factory = psl::analytics::census_factory({});
-  }
-
-  auto snapshot = psl::snapshot::load_file_view(cfg.snapshot_path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "psld: shard %zu snapshot load failed: %s (%s)\n", shard_index,
-                 snapshot.error().message.c_str(), snapshot.error().code.c_str());
-    return 1;
-  }
-  psl::serve::Engine engine(*std::move(snapshot), engine_options);
-
-  psl::net::ServerOptions options;
-  options.bind_address = cfg.address;
-  options.port = cfg.port;  // concrete by now — the parent resolved port 0
-  options.max_connections = cfg.max_conns;
-  options.max_frame_bytes = cfg.max_frame;
-  options.backend = cfg.backend;
-  options.reuse_port = true;
-  options.enable_udp = cfg.udp;
-  options.metrics = &metrics;
-  psl::net::Server server(engine, options);
-  auto started = server.start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "psld: shard %zu: %s\n", shard_index,
-                 started.error().message.c_str());
-    return 1;
-  }
-  std::printf("psld: shard %zu serving generation %llu on %s:%u (backend %s, pid %d)\n",
-              shard_index, static_cast<unsigned long long>(engine.generation()),
-              cfg.address.c_str(), *started, server.backend_name(),
-              static_cast<int>(::getpid()));
-  std::fflush(stdout);
-
-  for (;;) {
-    std::uint8_t byte = 0;
-    const ssize_t n = ::read(g_signal_pipe[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    if (byte == 'H') {
-      const psl::net::LatchValue target = latch.read();
-      if (target.generation <= engine.generation()) {
-        std::printf("psld: shard %zu already at generation %llu\n", shard_index,
-                    static_cast<unsigned long long>(engine.generation()));
-        std::fflush(stdout);
-        continue;
-      }
-      auto swapped = engine.reload_file_view(cfg.snapshot_path, target.generation);
-      if (swapped.ok()) {
-        std::printf("psld: shard %zu reloaded -> generation %llu\n", shard_index,
-                    static_cast<unsigned long long>(*swapped));
-      } else {
-        std::printf("psld: shard %zu reload rejected (%s), still serving generation %llu\n",
-                    shard_index, swapped.error().code.c_str(),
-                    static_cast<unsigned long long>(engine.generation()));
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    break;  // SIGTERM/SIGINT: drain and exit
-  }
-
-  std::printf("psld: shard %zu draining...\n", shard_index);
-  std::fflush(stdout);
-  server.shutdown();
-  std::fprintf(stderr, "%s\n", psl::obs::to_json(metrics).c_str());
-  return 0;
-}
-
-// Bind a SO_REUSEPORT placeholder to port 0 so the kernel picks ONE
-// ephemeral port the whole shard group then binds concretely. The socket
-// never listens — a bound, non-listening TCP socket in a reuseport group
-// receives nothing — and stays open in the parent for the daemon's life, so
-// the port cannot be reassigned between a shard dying and its respawn.
-int reserve_shared_port(const std::string& address, std::uint16_t& port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
-    std::fprintf(stderr, "psld: bad listen address: %s\n", address.c_str());
-    return -1;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "psld: socket: %s\n", std::strerror(errno));
-    return -1;
-  }
-  int one = 1;
-  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0 ||
-      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    std::fprintf(stderr, "psld: port reservation failed: %s\n", std::strerror(errno));
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port = ntohs(addr.sin_port);
-  return fd;
-}
-
-// The shard parent: no engine, no sockets (beyond the port placeholder) —
-// just the latch, the shard pids, and the signal loop. SIGHUP: validate the
-// new snapshot ONCE, bump the latch, then forward SIGHUP to every shard
-// (keep-last-good is fleet-wide: a bad file never reaches the latch, so no
-// shard even tries it). SIGCHLD: reap and respawn — the replacement re-reads
-// the latch and comes back at the fleet's current generation.
-int cmd_serve_sharded(ServeConfig cfg) {
-  psl::net::LatchValue boot{};
-  {
-    auto snap = psl::snapshot::load_file_view(cfg.snapshot_path);
-    if (!snap.ok()) {
-      std::fprintf(stderr, "psld: snapshot load failed: %s (%s)\n",
-                   snap.error().message.c_str(), snap.error().code.c_str());
-      return 1;
-    }
-    boot.generation = 1;
-    boot.rule_count = snap->meta.rule_count;
-    boot.source_date_days = snap->meta.source_date.days_since_epoch();
-  }
-
-  auto latch_made = psl::net::GenerationLatch::create_shared();
-  if (!latch_made.ok()) {
-    std::fprintf(stderr, "psld: %s\n", latch_made.error().message.c_str());
-    return 1;
-  }
-  psl::net::GenerationLatch latch = *std::move(latch_made);
-  latch.publish(boot);
-
-  int placeholder_fd = -1;
-  if (cfg.port == 0) {
-    placeholder_fd = reserve_shared_port(cfg.address, cfg.port);
-    if (placeholder_fd < 0) return 1;
-  }
-
-  std::vector<pid_t> shard_pids(cfg.shards, -1);
-  auto spawn = [&](std::size_t idx) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "psld: fork: %s\n", std::strerror(errno));
-      return false;
-    }
-    if (pid == 0) ::_exit(shard_main(cfg, idx, latch, placeholder_fd));
-    shard_pids[idx] = pid;
-    return true;
-  };
-  for (std::size_t i = 0; i < cfg.shards; ++i) {
-    if (!spawn(i)) {
-      for (const pid_t pid : shard_pids) {
-        if (pid > 0) ::kill(pid, SIGTERM);
-      }
-      return 1;
-    }
-  }
-
-  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu shards%s%s\n",
-              static_cast<unsigned long long>(boot.generation),
-              static_cast<unsigned long long>(boot.rule_count), cfg.address.c_str(),
-              cfg.port, cfg.shards, cfg.udp ? " [udp]" : "",
-              cfg.analytics ? " [analytics]" : "");
-  std::fflush(stdout);
-
-  std::uint64_t generation = boot.generation;
-  bool draining = false;
-  const auto live_shards = [&] {
-    std::size_t n = 0;
-    for (const pid_t pid : shard_pids) n += pid > 0 ? 1 : 0;
-    return n;
-  };
-  for (;;) {
-    std::uint8_t byte = 0;
-    const ssize_t n = ::read(g_signal_pipe[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) byte = 'T';
-    if (byte == 'H' && !draining) {
-      auto snap = psl::snapshot::load_file_view(cfg.snapshot_path);
-      if (!snap.ok()) {
-        std::printf("psld: reload rejected (%s), fleet stays on generation %llu\n",
-                    snap.error().code.c_str(), static_cast<unsigned long long>(generation));
-        std::fflush(stdout);
-        continue;
-      }
-      psl::net::LatchValue next;
-      next.generation = ++generation;
-      next.rule_count = snap->meta.rule_count;
-      next.source_date_days = snap->meta.source_date.days_since_epoch();
-      latch.publish(next);
-      for (const pid_t pid : shard_pids) {
-        if (pid > 0) ::kill(pid, SIGHUP);
-      }
-      std::printf("psld: published generation %llu to %zu shards\n",
-                  static_cast<unsigned long long>(generation), live_shards());
-      std::fflush(stdout);
-      continue;
-    }
-    if (byte == 'C') {
-      for (;;) {
-        int status = 0;
-        const pid_t dead = ::waitpid(-1, &status, WNOHANG);
-        if (dead <= 0) break;
-        for (std::size_t idx = 0; idx < shard_pids.size(); ++idx) {
-          if (shard_pids[idx] != dead) continue;
-          shard_pids[idx] = -1;
-          if (!draining) {
-            std::printf("psld: shard %zu (pid %d) exited, respawning\n", idx,
-                        static_cast<int>(dead));
-            std::fflush(stdout);
-            if (!spawn(idx)) {
-              std::fprintf(stderr, "psld: shard %zu respawn failed\n", idx);
-            }
-          }
-        }
-      }
-      if (draining && live_shards() == 0) break;
-      continue;
-    }
-    if (!draining) {  // 'T' or the pipe died
-      draining = true;
-      std::printf("psld: draining %zu shards...\n", live_shards());
-      std::fflush(stdout);
-      for (const pid_t pid : shard_pids) {
-        if (pid > 0) ::kill(pid, SIGTERM);
-      }
-      if (live_shards() == 0) break;
-    }
-  }
-  if (placeholder_fd >= 0) ::close(placeholder_fd);
-  std::printf("psld: bye\n");
-  return 0;
-}
-
 int cmd_serve(const ServeConfig& cfg) {
   // Signal plumbing comes FIRST — before the (possibly slow) snapshot/store
   // load and before the listener goes live. A supervisor that sends SIGTERM
@@ -680,16 +430,12 @@ int cmd_serve(const ServeConfig& cfg) {
     if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
 
-  if (cfg.shards > 1) {
-    // SIGCHLD only matters to the shard parent (respawn); installed before
-    // the first fork so no exit can slip past the handler.
-    ::sigaction(SIGCHLD, &sa, nullptr);
-    return cmd_serve_sharded(cfg);
-  }
-
+  // One engine under every loop. --threads counts workers per shard (0
+  // means 1, as the engine clamps it), so the shared pool has shards x
+  // threads of them.
   psl::obs::MetricsRegistry metrics;
   psl::serve::EngineOptions engine_options;
-  engine_options.threads = cfg.threads;
+  engine_options.threads = cfg.shards * std::max<std::size_t>(cfg.threads, 1);
   engine_options.max_queue_depth = cfg.queue_depth;
   engine_options.metrics = &metrics;
   if (cfg.analytics) {
@@ -710,11 +456,9 @@ int cmd_serve(const ServeConfig& cfg) {
       return 1;
     }
     engine = std::make_unique<psl::serve::Engine>(*std::move(newest), engine_options);
-    (void)!engine->adopt_store(*std::move(view));
+    engine->adopt_store(*std::move(view));
   } else {
-    // Shared mapping even single-process: the daemon never holds a private
-    // copy of the arena, and the rename-publish contract is uniform.
-    auto snapshot = psl::snapshot::load_file_view(cfg.snapshot_path);
+    auto snapshot = psl::snapshot::load_file(cfg.snapshot_path);
     if (!snapshot.ok()) {
       std::fprintf(stderr, "psld: snapshot load failed: %s (%s)\n",
                    snapshot.error().message.c_str(), snapshot.error().code.c_str());
@@ -723,28 +467,46 @@ int cmd_serve(const ServeConfig& cfg) {
     engine = std::make_unique<psl::serve::Engine>(*std::move(snapshot), engine_options);
   }
 
-  psl::net::ServerOptions options;
-  options.bind_address = cfg.address;
-  options.port = cfg.port;
-  options.max_connections = cfg.max_conns;
-  options.max_frame_bytes = cfg.max_frame;
-  options.backend = cfg.backend;
-  options.enable_udp = cfg.udp;
-  options.metrics = &metrics;
-  psl::net::Server server(*engine, options);
-  auto started = server.start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "psld: %s\n", started.error().message.c_str());
-    return 1;
+  // --shards N: N event loops joined on one port by SO_REUSEPORT. The first
+  // loop resolves port 0; the others bind the port it got.
+  std::vector<std::unique_ptr<psl::net::Server>> servers;
+  std::uint16_t port = cfg.port;
+  for (std::size_t i = 0; i < cfg.shards; ++i) {
+    psl::net::ServerOptions options;
+    options.bind_address = cfg.address;
+    options.port = port;
+    options.max_connections = cfg.max_conns;
+    options.max_frame_bytes = cfg.max_frame;
+    options.backend = cfg.backend;
+    options.reuse_port = cfg.shards > 1;
+    options.enable_udp = cfg.udp;
+    options.metrics = &metrics;
+    servers.push_back(std::make_unique<psl::net::Server>(*engine, options));
+    auto started = servers.back()->start();
+    if (!started.ok()) {
+      std::fprintf(stderr, "psld: %s\n", started.error().message.c_str());
+      return 1;
+    }
+    port = *started;
+  }
+  if (cfg.shards > 1) {
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      std::printf("psld: shard %zu serving generation %llu on %s:%u (backend %s, pid %d)\n", i,
+                  static_cast<unsigned long long>(engine->generation()), cfg.address.c_str(),
+                  port, servers[i]->backend_name(), static_cast<int>(::getpid()));
+    }
   }
 
+  const std::string shards =
+      cfg.shards > 1 ? ", " + std::to_string(cfg.shards) + " shards" : std::string();
   std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers"
-              " (backend %s)%s%s%s\n",
+              " (backend %s)%s%s%s%s\n",
               static_cast<unsigned long long>(engine->generation()),
               static_cast<unsigned long long>(engine->metadata().rule_count),
-              cfg.address.c_str(), *started, engine->worker_count(),
-              server.backend_name(), cfg.store_path.empty() ? "" : " [store]",
-              cfg.udp ? " [udp]" : "", cfg.analytics ? " [analytics]" : "");
+              cfg.address.c_str(), port, engine->worker_count(),
+              servers.front()->backend_name(), shards.c_str(),
+              cfg.store_path.empty() ? "" : " [store]", cfg.udp ? " [udp]" : "",
+              cfg.analytics ? " [analytics]" : "");
   std::fflush(stdout);
 
   for (;;) {
@@ -755,7 +517,7 @@ int cmd_serve(const ServeConfig& cfg) {
     if (byte == 'H') {
       const std::string& reload_path =
           cfg.store_path.empty() ? cfg.snapshot_path : cfg.store_path;
-      auto swapped = cfg.store_path.empty() ? engine->reload_file_view(cfg.snapshot_path)
+      auto swapped = cfg.store_path.empty() ? engine->reload_file(cfg.snapshot_path)
                                             : engine->open_store(cfg.store_path);
       if (swapped.ok()) {
         std::printf("psld: reloaded %s -> generation %llu\n", reload_path.c_str(),
@@ -773,7 +535,7 @@ int cmd_serve(const ServeConfig& cfg) {
 
   std::printf("psld: draining...\n");
   std::fflush(stdout);
-  server.shutdown();
+  for (const auto& server : servers) server->shutdown();
   std::fprintf(stderr, "%s\n", psl::obs::to_json(metrics).c_str());
   std::printf("psld: bye\n");
   return 0;
@@ -924,13 +686,6 @@ int main(int argc, char** argv) {
   }
   if (listen.empty() || (cfg.snapshot_path.empty() == cfg.store_path.empty())) {
     return usage();
-  }
-  if (cfg.shards > 1 && cfg.snapshot_path.empty()) {
-    // The store serves history (time travel) single-process; the sharded
-    // fast path serves the CURRENT list. Latch generations only align with
-    // snapshot reloads.
-    std::fprintf(stderr, "psld: --shards requires --snapshot (--store is single-process)\n");
-    return 2;
   }
   if (!parse_endpoint(listen, cfg.address, cfg.port)) {
     std::fprintf(stderr, "psld: bad --listen endpoint (want ADDR:PORT): %s\n",

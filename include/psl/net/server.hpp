@@ -116,9 +116,10 @@ struct ServerOptions {
   int write_stall_timeout_ms = 10000;  ///< pending output must make progress this fast
   int drain_timeout_ms = 5000;   ///< graceful-shutdown bound before force-close
   Backend backend = Backend::kAuto;  ///< readiness backend (see Backend)
-  /// SO_REUSEPORT on the listener (and the UDP socket): N processes bind
-  /// the same port and the kernel load-balances connections across them —
-  /// the psld --shards fan-out. Every process on the port must set it.
+  /// SO_REUSEPORT on the listener (and the UDP socket): N servers bind the
+  /// same port and the kernel load-balances connections across them — the
+  /// psld --shards fan-out, N loops over one engine. Every socket on the
+  /// port must set it.
   bool reuse_port = false;
   /// Serve the UDP fast path on the same port: one request frame per
   /// datagram, answered inline on the loop thread by the TCP handlers
@@ -269,6 +270,7 @@ class Server {
     int wake_fd = -1;
   };
   std::shared_ptr<PushState> push_state_;
+  serve::Engine::ListenerId listener_id_ = 0;  ///< this server's engine listener
 
   std::vector<std::uint8_t> read_scratch_;  // loop-thread socket reads
   // UDP scratch (loop thread): the request datagram and the response under

@@ -94,11 +94,6 @@ struct EngineOptions {
   /// two; 0 disables caching — every query walks the trie).
   std::size_t cache_slots = 16384;
   obs::MetricsRegistry* metrics = nullptr;  ///< optional; null = uninstrumented
-  /// Generation the initial state is installed as (0 = the default, 1).
-  /// A psld shard respawned into a running fleet passes the shared latch's
-  /// current generation here so its stats and pushes agree with the
-  /// surviving shards instead of restarting at 1.
-  std::uint64_t initial_generation = 0;
   /// When set, every installed State carries a fresh analytics::Census from
   /// this factory (called with the worker count; hot swap ⇒ fresh census —
   /// the same RCU invalidation story as the per-worker caches). Wire it via
@@ -223,28 +218,24 @@ class Engine {
   util::Result<std::uint64_t> reload_snapshot(std::span<const std::uint8_t> bytes);
   /// load_file() + the same keep-last-good contract.
   util::Result<std::uint64_t> reload_file(const std::string& path);
-  /// load_file_view() (shared read-only mmap — N shards, one physical
-  /// arena) + the same keep-last-good contract. `target_generation`
-  /// installs the state AS that generation (0 = auto-increment): the
-  /// multi-shard coherence hook — every shard reloading for latch
-  /// generation G reports G, not a drifting local counter. Monotonicity is
-  /// preserved regardless: a target at or below the current generation
-  /// falls back to the auto-increment.
-  util::Result<std::uint64_t> reload_file_view(const std::string& path,
-                                               std::uint64_t target_generation = 0);
-  /// swap() with the same explicit-generation contract as reload_file_view.
-  std::uint64_t swap_as(snapshot::Snapshot next, std::uint64_t target_generation);
 
   /// Observer invoked (from the reloading thread, after publication, with
   /// reload serialization held — notifications are ordered and generations
-  /// monotone) every time a new state is installed, including the swap that
-  /// happens inside this very call if the engine is already serving. The
-  /// push channel: psl::net::Server registers here to fan generation
-  /// changes out to subscribed connections. Must be fast and must not call
-  /// back into reload paths. Pass nullptr to clear.
+  /// monotone) every time a new state is installed. The push channel: each
+  /// psl::net::Server adds one to fan generation changes out to its
+  /// subscribed connections, so N servers over one engine all push. Must be
+  /// fast and must not call back into reload paths.
   using GenerationListener = std::function<void(std::uint64_t generation,
                                                 const snapshot::Metadata& meta)>;
-  void set_generation_listener(GenerationListener listener);
+  /// Handle for remove_generation_listener.
+  using ListenerId = std::uint64_t;
+  /// Add `listener` beside any others; every later install calls each
+  /// listener once, in the order they were added.
+  ListenerId add_generation_listener(GenerationListener listener);
+  /// Remove the listener `id` names (a no-op when it is already gone). An
+  /// install that copied the listener set just before may still call it
+  /// once more.
+  void remove_generation_listener(ListenerId id);
 
   // --- multi-version store (time-travel; implemented in src/store so
   // --- psl_serve does not link psl_store — callers needing these link
@@ -255,8 +246,11 @@ class Engine {
   /// store and serving state are untouched and the error is returned
   /// (counted in serve.reload.failure). SIGHUP re-open goes through here.
   util::Result<std::uint64_t> open_store(const std::string& path);
-  /// Adopt an already-open store and swap to its newest version.
-  util::Result<std::uint64_t> adopt_store(std::shared_ptr<const store::StoreView> view);
+  /// Attach an already-open store for match_at / divergence / pin_version
+  /// without touching the serving state: a caller that booted the engine
+  /// from `view`'s newest version (psld --store) attaches it here, so that
+  /// version is built once and serves as generation 1.
+  void adopt_store(std::shared_ptr<const store::StoreView> view);
   /// The adopted store, or null. Snapshots materialized from it stay valid
   /// independently of the engine's serving state.
   std::shared_ptr<const store::StoreView> store_view() const;
@@ -316,7 +310,7 @@ class Engine {
     std::lock_guard<std::mutex> lock(state_mutex_);
     return state_;
   }
-  std::uint64_t install(snapshot::Snapshot next, std::uint64_t target_generation = 0);
+  std::uint64_t install(snapshot::Snapshot next);
   Enqueue enqueue(std::function<void(std::size_t)> job);
   void worker_loop(std::size_t worker_index);
 
@@ -326,8 +320,9 @@ class Engine {
   mutable std::mutex store_mutex_;  ///< held only to copy/replace store_
   std::shared_ptr<const store::StoreView> store_;
 
-  std::mutex listener_mutex_;  ///< guards generation_listener_
-  GenerationListener generation_listener_;
+  std::mutex listener_mutex_;  ///< guards listeners_ + next_listener_id_
+  std::vector<std::pair<ListenerId, GenerationListener>> listeners_;
+  ListenerId next_listener_id_ = 1;
 
   std::mutex reload_mutex_;  ///< serializes swaps so generations are monotone
   std::uint64_t next_generation_ = 0;

@@ -51,7 +51,9 @@
 //   * load_copy / load_file copy the bytes into an aligned buffer owned by
 //     the returned matcher (shared_ptr-retained, so copies stay cheap);
 //   * load_view borrows the caller's buffer zero-copy — the caller must
-//     keep it alive and 8-byte aligned (mmap, static blobs, arenas).
+//     keep it alive and 8-byte aligned (static blobs, arenas).
+// Files are always read into memory the process owns, never mapped: once
+// loaded, nothing a writer does to the file can change what is served.
 //
 // A derived snapshot (with_rules) keeps a loaded arena's trie and swaps in
 // other rule bits: psl::store answers one list version from the union arena
@@ -154,25 +156,28 @@ util::Result<Snapshot> with_rules(const Snapshot& base,
                                   std::span<const CompiledMatcher::NodeRules> rules,
                                   const Metadata& meta, std::shared_ptr<const void> retain);
 
-/// Read `path` and load_copy its contents. A file whose size changes while
-/// being read (a writer not using the durable tmp+rename publish below) is
-/// rejected with snapshot.io rather than silently truncated at the size
-/// observed first.
-util::Result<Snapshot> load_file(const std::string& path);
+/// The whole of one file, read into an 8-byte-aligned buffer that `owner`
+/// keeps alive; `bytes` points into it.
+struct FileBytes {
+  std::shared_ptr<const void> owner;
+  std::span<const std::uint8_t> bytes;
+};
 
-/// mmap `path` read-only (PROT_READ, MAP_SHARED) and load_view the mapping
-/// zero-copy; the mapping is retained by the returned matcher and unmapped
-/// when the last copy drops. N forked psld shards loading the same file
-/// through this entry point share ONE physical copy of the arena — the
-/// kernel page cache — instead of N private heap copies, which is what
-/// makes `--shards N` memory-free to scale.
-///
-/// Contract for publishers: the mapped file must be IMMUTABLE while served.
-/// Overwriting it in place (e.g. `cp new old`) mutates live mappings in
-/// every shard mid-query; publish a new file and rename() it over the old
-/// path instead (write_file_durable does exactly this), which leaves
-/// existing mappings pointing at the old inode untouched.
-util::Result<Snapshot> load_file_view(const std::string& path);
+/// Read `path` into memory the caller owns (the loaders below and
+/// store::StoreView::open both read through here). A file whose size
+/// changes while being read (a writer not using the durable tmp+rename
+/// publish below) is rejected with snapshot.io rather than silently
+/// truncated at the size observed first.
+util::Result<FileBytes> read_file(const std::string& path);
+
+/// read_file `path` and validate its contents in place (no second copy).
+/// The result never reads the file again: truncating or rewriting `path`
+/// in place afterwards changes nothing that is served, and the next
+/// load_file of the damaged file fails validation (keep-last-good for
+/// Engine::reload_file). Publishing by rename is still the right way to
+/// replace a served file: a reload that races an in-place write is
+/// rejected, not half-read.
+util::Result<Snapshot> load_file(const std::string& path);
 
 /// serialize() to `path` via write_file_durable below. Returns the byte
 /// count written.
@@ -193,7 +198,7 @@ util::Result<std::uint64_t> write_file_durable(const std::string& path,
 /// tests, mirroring pslh_test_fail_next_allocs in the C API).
 void test_fail_next_fsyncs(int count);
 
-/// TESTING ONLY: hook invoked by load_file after sizing the file and before
+/// TESTING ONLY: hook invoked by read_file after sizing the file and before
 /// reading it — the window where a concurrent writer can grow the file.
 /// Pass nullptr to clear.
 void test_set_load_file_hook(void (*hook)(const char* path));

@@ -1,9 +1,9 @@
-// psl::store — a single-file, memory-mapped multi-version snapshot store
-// with time-travel queries (ROADMAP item 1).
+// psl::store — a single-file multi-version snapshot store with time-travel
+// queries.
 //
 // The paper's headline result is that *which PSL version you ship* changes
 // which hosts share a site. The store makes that longitudinal corpus — all
-// 1,142 historical list versions — a single mmap-able artifact holding ONE
+// 1,142 historical list versions — a single artifact holding ONE
 // trie: the union of every rule any version held, with each node's rule
 // bits recorded as a short run of change points over the versions. Every
 // question about one version (match_at, open_version) or about all of them
@@ -55,7 +55,7 @@
 // anywhere in the file is rejected at open.
 //
 // Error codes ("store." prefix, stable):
-//   store.io            file could not be read / mapped / written
+//   store.io            file could not be read / written
 //   store.bad-magic     magic bytes are not "PSLSTOR1"
 //   store.bad-version   format version unsupported
 //   store.bad-header    header fields inconsistent
@@ -128,15 +128,18 @@ struct Stats {
   }
 };
 
-/// Read side: an immutable, fully validated view over one mmapped store
-/// file. Thread-safe and stateless after open: no query allocates anything
-/// the view keeps. Snapshots returned by open_version keep the mapping alive
-/// via their retain pointer, so they remain valid after the StoreView is
-/// destroyed.
+/// Read side: an immutable, fully validated view over one store file's
+/// bytes, read into memory the view owns. Thread-safe and stateless after
+/// open: no query allocates anything the view keeps. Snapshots returned by
+/// open_version keep those bytes alive via their retain pointer, so they
+/// remain valid after the StoreView is destroyed.
 class StoreView {
  public:
-  /// mmap `path` read-only and validate all of it: header, file checksum,
-  /// version table and the whole temporal section.
+  /// Read `path` into an owned 8-byte-aligned buffer (snapshot::read_file)
+  /// and validate all of it: header, file checksum, version table and the
+  /// whole temporal section. The view never reads the file again, so
+  /// truncating or rewriting it in place cannot disturb a view already
+  /// open; the next open of the damaged file fails validation instead.
   static util::Result<std::shared_ptr<const StoreView>> open(const std::string& path);
 
   ~StoreView();
@@ -167,7 +170,7 @@ class StoreView {
   /// version (psld boot, Engine::pin_version): the union arena with every
   /// node's rule bits set to version v's (snapshot::with_rules). Only the
   /// node array is built; hashes, children and pool are shared zero-copy
-  /// with the mapping. It answers exactly like version v's own arena, but
+  /// with the view's buffer. It answers exactly like version v's own arena, but
   /// its bytes are not that arena's: it keeps the union's rule-less nodes.
   /// Nothing is cached.
   util::Result<snapshot::Snapshot> open_version(std::size_t v) const;
@@ -183,11 +186,9 @@ class StoreView {
   util::Result<std::vector<DivergenceRange>> divergence(std::string_view host) const;
 
  private:
-  struct Mapping;  // RAII mmap, defined in store.cpp
-
   StoreView() = default;
 
-  /// Validate the temporal section `bytes` (inside the mapping) and point
+  /// Validate the temporal section `bytes` (inside bytes_) and point
   /// the union arena and epoch spans at it; the reason on failure.
   std::optional<std::string> adopt_temporal(std::span<const std::uint8_t> bytes);
 
@@ -200,10 +201,10 @@ class StoreView {
   MatchView match_version(std::uint32_t version, std::string_view host) const noexcept;
 
   std::string path_;
-  std::shared_ptr<const Mapping> mapping_;
+  std::shared_ptr<const void> bytes_;  ///< the file's bytes, owned
   std::vector<snapshot::Metadata> versions_;
   Stats stats_;
-  /// The temporal section: the union arena (zero-copy into the mapping) and
+  /// The temporal section: the union arena (zero-copy into bytes_) and
   /// its per-node change points.
   std::optional<snapshot::Snapshot> temporal_;
   std::span<const std::uint32_t> epoch_index_;

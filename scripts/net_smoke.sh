@@ -3,27 +3,29 @@
 # over the PSLN wire protocol, hot-reload via SIGHUP (answers must flip,
 # keep-last-good must hold for a corrupt file) and via a wire-level
 # `psld reload`, prove the push channel (a subscribed `psld watch` is told
-# about a SIGHUP reload without issuing a single query), then drain via
-# SIGTERM and require a clean exit 0. A second act covers the multi-version
-# store: psltool store build from two dated lists, psld --store, match-at
-# answers flipping across the version boundary, divergence ranges, a
-# corrupted store and a format-1 store rejected at boot, and the
-# handlers-before-listener fix (SIGTERM during startup still drains
-# cleanly). A third act covers streaming analytics: psld --analytics, a
-# psltool-generated corpus replayed into the census, aggregates read back
-# over the wire, and a SIGHUP hot swap starting a fresh census for the new
-# generation while ingest keeps flowing. A fourth act covers the sharded
-# deployment: psld --shards 3 --udp on one SO_REUSEPORT port, queries over
-# TCP and the UDP fast path, a SIGHUP flipping every shard to the same latch
-# generation, one shard SIGKILLed under live query load (service keeps
-# answering; the parent respawns it and the replacement adopts the latch
-# generation, not generation 1), and a clean fleet-wide drain.
+# about a SIGHUP reload without issuing a single query), truncate and then
+# overwrite the served file in place (answers hold, the reload is refused
+# keep-last-good), then drain via SIGTERM and require a clean exit 0. A
+# second act covers the multi-version store: psltool store build from two
+# dated lists, psld --store booting at generation 1, match-at answers
+# flipping across the version boundary, divergence ranges, a truncated
+# served store refused at reload, a corrupted store and a format-1 store
+# rejected at boot, and the handlers-before-listener fix (SIGTERM during
+# startup still drains cleanly). A third act covers streaming analytics:
+# psld --analytics, a psltool-generated corpus replayed into the census,
+# aggregates read back over the wire, and a SIGHUP hot swap starting a fresh
+# census for the new generation while ingest keeps flowing. A fourth act
+# covers --shards: psld --shards 2 --udp runs two event loops in one process
+# on one SO_REUSEPORT port over one engine; after a wire reload and after a
+# SIGHUP, ten fresh TCP and UDP queries all get the new answer and stats
+# reads one generation; psld --shards 2 --store answers match-at; both
+# drain to a clean exit 0.
 #
 # Every daemon listens on 127.0.0.1:0 — the kernel picks a free ephemeral
 # port, the banner names it, and the script greps it back out; nothing here
-# can collide with another test's port again. Snapshots are published by
-# rename (tmp + mv), never overwritten in place: the daemon serves them from
-# shared mappings, and rewriting a mapped file would corrupt live memory.
+# can collide with another test's port again. New snapshots are published by
+# rename (tmp + mv), the durable way; psld reads files into memory it owns,
+# so the in-place writes above are survivable mistakes, not the method.
 # CI runs this against the freshly built tree, and ctest runs it as
 # PsldLoopbackSmoke:
 #
@@ -95,8 +97,7 @@ grep -qx "user.github.io user.github.io" q1.txt || fail "github.io query: $(cat 
 "$PSLD" stats "$ADDR" | grep -q "generation 1, 4 rules" || fail "stats before reload"
 
 # --- SIGHUP hot reload: the answer must flip -----------------------------
-# Publish by rename: the daemon maps live.psnap shared, so the new bytes
-# must arrive under a fresh inode, never by rewriting the mapped file.
+# Publish by rename: a reload never sees a half-written file.
 cp b.psnap stage.psnap && mv stage.psnap live.psnap
 kill -HUP "$DAEMON_PID"
 for _ in $(seq 1 100); do
@@ -153,6 +154,35 @@ wait "$WATCH_PID" || STATUS=$?  # count=1: exits 0 after that one push
 [[ "$STATUS" -eq 0 ]] || fail "watcher exited $STATUS"
 WATCH_PID=
 
+# --- in-place writes: the daemon serves bytes it owns --------------------
+# Truncate the served file, then overwrite it in place at its old size with
+# bytes that are not a snapshot. Neither write may change an answer or take
+# the daemon down, and a SIGHUP after each is refused keep-last-good.
+SERVED_SIZE=$(stat -c %s live.psnap)
+: > live.psnap
+"$PSLD" query "$ADDR" shop1.myshopify.com | grep -qx "shop1.myshopify.com shop1.myshopify.com" \
+  || fail "truncating the served file disturbed serving"
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  grep -q "reload rejected (snapshot.truncated)" psld.log 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "reload rejected (snapshot.truncated), still serving generation 4" psld.log \
+  || fail "reload of the truncated file was not rejected keep-last-good"
+head -c "$SERVED_SIZE" /dev/zero | tr '\0' 'x' \
+  | dd of=live.psnap conv=notrunc status=none
+[[ $(stat -c %s live.psnap) -eq "$SERVED_SIZE" ]] || fail "in-place overwrite changed the size"
+"$PSLD" query "$ADDR" shop1.myshopify.com | grep -qx "shop1.myshopify.com shop1.myshopify.com" \
+  || fail "overwriting the served file in place disturbed serving"
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  grep -q "reload rejected (snapshot.bad-magic)" psld.log 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "reload rejected (snapshot.bad-magic), still serving generation 4" psld.log \
+  || fail "reload of the overwritten file was not rejected keep-last-good"
+"$PSLD" stats "$ADDR" | grep -q "generation 4, 5 rules" || fail "stats after in-place writes"
+
 # --- SIGTERM: graceful drain, exit 0 -------------------------------------
 kill -TERM "$DAEMON_PID"
 STATUS=0
@@ -171,7 +201,8 @@ grep -q '"net.accepted"' psld.err || fail "metrics dump missing from stderr"
 grep -q "2 versions" store_build.txt || fail "store build report: $(cat store_build.txt)"
 "$PSLTOOL" store stat hist.pstore | grep -q "versions:  2" || fail "store stat"
 
-"$PSLD" --listen 127.0.0.1:0 --store hist.pstore --threads 2 \
+cp hist.pstore served.pstore
+"$PSLD" --listen 127.0.0.1:0 --store served.pstore --threads 2 \
   > psld_store.log 2> psld_store.err &
 STORE_PID=$!
 for _ in $(seq 1 100); do
@@ -180,6 +211,9 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 grep -q "\[store\]" psld_store.log || fail "store daemon did not report store mode"
+# The newest version is built once and serves as the first generation.
+grep -q "serving generation 1 " psld_store.log \
+  || fail "store daemon did not boot at generation 1: $(cat psld_store.log)"
 STORE_PORT=$(bound_port psld_store.log)
 [[ -n "$STORE_PORT" ]] || fail "could not read the store daemon's bound port"
 STORE_ADDR="127.0.0.1:$STORE_PORT"
@@ -208,6 +242,20 @@ grep -qx "2021-01-01..2021-01-01 shop1.myshopify.com" div.txt \
 # The plain current-generation path still serves the newest version.
 "$PSLD" query "$STORE_ADDR" shop1.myshopify.com \
   | grep -qx "shop1.myshopify.com shop1.myshopify.com" || fail "store daemon query"
+
+# Truncating the served store changes no answer; its reload is refused.
+: > served.pstore
+"$PSLD" match-at "$STORE_ADDR" 2020-06-01 shop1.myshopify.com \
+  | grep -qx "shop1.myshopify.com myshopify.com" || fail "match-at after truncating the store"
+"$PSLD" divergence "$STORE_ADDR" shop1.myshopify.com | cmp -s - div.txt \
+  || fail "divergence changed after truncating the store"
+kill -HUP "$STORE_PID"
+for _ in $(seq 1 100); do
+  grep -q "reload rejected" psld_store.log 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "reload rejected (store.truncated), still serving generation 1" psld_store.log \
+  || fail "reload of the truncated store was not rejected keep-last-good"
 
 kill -TERM "$STORE_PID"
 STATUS=0
@@ -333,99 +381,97 @@ grep -q '"analytics.ingest.records"' psld_analytics.err \
 ANALYTICS_PID=
 
 # ==========================================================================
-# Act 4: the sharded fleet. Two forked shards accept on one SO_REUSEPORT
-# port, each mapping the same snapshot file; the UDP fast path answers
-# beside TCP; one SIGHUP to the parent publishes a generation through the
-# shared latch to every shard; a shard SIGKILLed under live query load is
-# respawned and adopts the latch generation (not generation 1); SIGTERM
-# drains the whole fleet to a clean exit 0.
+# Act 4: --shards. Two event loops in one process accept on one SO_REUSEPORT
+# port over one engine, with the UDP fast path beside TCP. A wire reload
+# lands on whichever loop took that connection and a SIGHUP on none of
+# them; either way ten fresh queries over each transport must all get the
+# new answer and stats must read one generation. Then --shards 2 --store
+# answers match-at. Both daemons drain to a clean exit 0.
 # ==========================================================================
 cp a.psnap live_shards.psnap
-"$PSLD" --listen 127.0.0.1:0 --snapshot live_shards.psnap --shards 2 --udp \
+"$PSLD" --listen 127.0.0.1:0 --snapshot live_shards.psnap --shards 2 --threads 1 --udp \
   > psld_shards.log 2> psld_shards.err &
 SHARDS_PID=$!
-LOAD_PID=
-trap 'kill "$DAEMON_PID" "$STORE_PID" "$WATCH_PID" "$ANALYTICS_PID" "$SHARDS_PID" "$LOAD_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill "$DAEMON_PID" "$STORE_PID" "$WATCH_PID" "$ANALYTICS_PID" "$SHARDS_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 for _ in $(seq 1 100); do
   grep -q "2 shards" psld_shards.log 2>/dev/null && break
   kill -0 "$SHARDS_PID" 2>/dev/null || fail "sharded daemon died during startup"
   sleep 0.1
 done
-grep -q "serving generation 1 .* 2 shards" psld_shards.log \
-  || fail "sharded daemon did not report the fleet banner"
+grep -q "serving generation 1 .*, 2 workers .* 2 shards" psld_shards.log \
+  || fail "sharded daemon did not report the banner"
 grep -q "\[udp\]" psld_shards.log || fail "sharded daemon did not report UDP mode"
+[[ $(grep -c "shard [0-9] serving generation 1 .*pid $SHARDS_PID)" psld_shards.log) -eq 2 ]] \
+  || fail "expected 2 shard lines from one pid: $(cat psld_shards.log)"
 SHARD_PORT=$(bound_port psld_shards.log)
 [[ -n "$SHARD_PORT" ]] || fail "could not read the sharded daemon's bound port"
 SHARD_ADDR="127.0.0.1:$SHARD_PORT"
-for _ in $(seq 1 100); do
-  [[ $(grep -c "shard [0-9]* serving generation 1" psld_shards.log) -eq 2 ]] && break
-  sleep 0.1
-done
-[[ $(grep -c "shard [0-9]* serving generation 1" psld_shards.log) -eq 2 ]] \
-  || fail "expected 2 shard banners: $(cat psld_shards.log)"
 
-# Both transports answer from the shared snapshot mapping.
 "$PSLD" ping "$SHARD_ADDR" | grep -qx "pong" || fail "sharded TCP ping"
-"$PSLD" query "$SHARD_ADDR" shop1.myshopify.com a.b.co.uk > qs1.txt
-grep -qx "shop1.myshopify.com myshopify.com" qs1.txt || fail "sharded TCP query: $(cat qs1.txt)"
-grep -qx "a.b.co.uk b.co.uk" qs1.txt || fail "sharded TCP co.uk query: $(cat qs1.txt)"
+"$PSLD" query "$SHARD_ADDR" a.b.co.uk | grep -qx "a.b.co.uk b.co.uk" || fail "sharded TCP query"
 "$PSLD" --udp ping "$SHARD_ADDR" | grep -qx "pong" || fail "UDP ping"
-"$PSLD" --udp query "$SHARD_ADDR" shop1.myshopify.com a.b.co.uk > qs2.txt
-grep -qx "shop1.myshopify.com myshopify.com" qs2.txt || fail "UDP query: $(cat qs2.txt)"
-grep -qx "a.b.co.uk b.co.uk" qs2.txt || fail "UDP co.uk query: $(cat qs2.txt)"
-"$PSLD" --udp stats "$SHARD_ADDR" | grep -q "generation 1, 4 rules" || fail "UDP stats"
+"$PSLD" --udp query "$SHARD_ADDR" a.b.co.uk | grep -qx "a.b.co.uk b.co.uk" || fail "UDP query"
 
-# One SIGHUP to the parent must flip EVERY shard to the same generation.
-cp b.psnap stage.psnap && mv stage.psnap live_shards.psnap
+# Ten fresh connections (and ten datagram clients) must all answer `want`
+# for shop1.myshopify.com and read `generation` from stats.
+expect_fleet() {
+  local want=$1 generation=$2 i
+  for i in $(seq 1 10); do
+    "$PSLD" query "$SHARD_ADDR" shop1.myshopify.com | grep -qx "shop1.myshopify.com $want" \
+      || fail "fresh TCP query $i after $3 did not answer $want"
+    "$PSLD" --udp query "$SHARD_ADDR" shop1.myshopify.com \
+      | grep -qx "shop1.myshopify.com $want" \
+      || fail "fresh UDP query $i after $3 did not answer $want"
+    "$PSLD" stats "$SHARD_ADDR" | grep -q "^generation $generation," \
+      || fail "TCP stats $i after $3 read $("$PSLD" stats "$SHARD_ADDR")"
+    "$PSLD" --udp stats "$SHARD_ADDR" | grep -q "^generation $generation," \
+      || fail "UDP stats $i after $3 read $("$PSLD" --udp stats "$SHARD_ADDR")"
+  done
+}
+expect_fleet myshopify.com 1 boot
+
+"$PSLD" reload "$SHARD_ADDR" b.psnap | grep -q "generation 2" || fail "sharded wire reload"
+expect_fleet shop1.myshopify.com 2 "the wire reload"
+
+cp a.psnap stage.psnap && mv stage.psnap live_shards.psnap
 kill -HUP "$SHARDS_PID"
 for _ in $(seq 1 100); do
-  [[ $(grep -c "reloaded -> generation 2" psld_shards.log) -eq 2 ]] && break
+  grep -q "reloaded .* generation 3" psld_shards.log 2>/dev/null && break
   sleep 0.1
 done
-grep -q "published generation 2 to 2 shards" psld_shards.log \
-  || fail "latch publish did not land: $(cat psld_shards.log)"
-[[ $(grep -c "reloaded -> generation 2" psld_shards.log) -eq 2 ]] \
-  || fail "not every shard reloaded to generation 2: $(cat psld_shards.log)"
-"$PSLD" query "$SHARD_ADDR" shop1.myshopify.com \
-  | grep -qx "shop1.myshopify.com shop1.myshopify.com" || fail "fleet reload did not flip the answer"
+grep -q "reloaded .* generation 3" psld_shards.log || fail "sharded SIGHUP reload did not land"
+expect_fleet myshopify.com 3 SIGHUP
 
-# Kill one shard under live load: the service keeps answering, the parent
-# respawns it, and the replacement adopts the LATCH generation — a respawn
-# banner saying "generation 2" proves it did not boot back to generation 1.
-( while [[ ! -f stop_load ]]; do
-    "$PSLD" query "$SHARD_ADDR" a.b.co.uk > /dev/null 2>&1 || true
-  done ) &
-LOAD_PID=$!
-VICTIM=$(sed -n 's/.*shard 0 serving generation 1 .*pid \([0-9]*\)).*/\1/p' psld_shards.log | head -1)
-[[ -n "$VICTIM" ]] || fail "could not extract shard 0's pid from: $(cat psld_shards.log)"
-kill -KILL "$VICTIM"
-for _ in $(seq 1 100); do
-  grep -q "exited, respawning" psld_shards.log 2>/dev/null && break
-  sleep 0.1
-done
-grep -q "shard 0 (pid $VICTIM) exited, respawning" psld_shards.log \
-  || fail "parent did not respawn the killed shard: $(cat psld_shards.log)"
-for _ in $(seq 1 100); do
-  grep -q "shard 0 serving generation 2" psld_shards.log 2>/dev/null && break
-  sleep 0.1
-done
-grep -q "shard 0 serving generation 2" psld_shards.log \
-  || fail "respawned shard did not adopt the latch generation: $(cat psld_shards.log)"
-: > stop_load
-wait "$LOAD_PID" 2>/dev/null || true
-LOAD_PID=
-"$PSLD" query "$SHARD_ADDR" shop1.myshopify.com \
-  | grep -qx "shop1.myshopify.com shop1.myshopify.com" || fail "service lost after shard respawn"
-"$PSLD" --udp stats "$SHARD_ADDR" | grep -q "generation 2, 5 rules" \
-  || fail "UDP stats after respawn"
-
-# SIGTERM drains the whole fleet; the parent exits 0 only after every shard.
 kill -TERM "$SHARDS_PID"
 STATUS=0
 wait "$SHARDS_PID" || STATUS=$?
 [[ "$STATUS" -eq 0 ]] || fail "sharded daemon exited $STATUS on SIGTERM"
-grep -q "draining 2 shards" psld_shards.log || fail "fleet drain banner missing"
 grep -q "psld: bye" psld_shards.log || fail "sharded daemon did not drain cleanly"
+
+# --shards with --store: every loop answers time travel.
+"$PSLD" --listen 127.0.0.1:0 --store hist.pstore --shards 2 --threads 1 \
+  > psld_shards.log 2> psld_shards.err &
+SHARDS_PID=$!
+for _ in $(seq 1 100); do
+  grep -q "2 shards" psld_shards.log 2>/dev/null && break
+  kill -0 "$SHARDS_PID" 2>/dev/null || fail "sharded store daemon died during startup"
+  sleep 0.1
+done
+grep -q "serving generation 1 .* 2 shards \[store\]" psld_shards.log \
+  || fail "sharded store daemon did not report the banner"
+SHARD_ADDR="127.0.0.1:$(bound_port psld_shards.log)"
+for i in $(seq 1 10); do
+  "$PSLD" match-at "$SHARD_ADDR" 2020-06-01 shop1.myshopify.com \
+    | grep -qx "shop1.myshopify.com myshopify.com" || fail "sharded match-at $i, old vintage"
+  "$PSLD" match-at "$SHARD_ADDR" 2021-06-01 shop1.myshopify.com \
+    | grep -qx "shop1.myshopify.com shop1.myshopify.com" \
+    || fail "sharded match-at $i, new vintage"
+done
+kill -TERM "$SHARDS_PID"
+STATUS=0
+wait "$SHARDS_PID" || STATUS=$?
+[[ "$STATUS" -eq 0 ]] || fail "sharded store daemon exited $STATUS on SIGTERM"
+grep -q "psld: bye" psld_shards.log || fail "sharded store daemon did not drain cleanly"
 SHARDS_PID=
 
 echo "net_smoke: OK (ports $PORT/$STORE_PORT/$ANALYTICS_PORT/$SHARD_PORT)"

@@ -473,7 +473,7 @@ util::Result<std::uint16_t> Server::start() {
   push_state_ = std::make_shared<PushState>();
   push_state_->armed = true;
   push_state_->wake_fd = wake_write_fd_;
-  engine_.set_generation_listener(
+  listener_id_ = engine_.add_generation_listener(
       [state = push_state_](std::uint64_t generation, const snapshot::Metadata& meta) {
         std::lock_guard<std::mutex> lock(state->mutex);
         if (!state->armed) return;
@@ -492,10 +492,11 @@ util::Result<std::uint16_t> Server::start() {
 
 void Server::shutdown() {
   if (!running_.load(std::memory_order_acquire)) return;
-  // Disarm the push channel first: clearing the engine listener stops new
+  // Disarm the push channel first: removing this server's engine listener
+  // (and only it — other servers on the engine keep theirs) stops new
   // invocations, and flipping `armed` under the mutex waits out any
   // listener mid-write so nothing touches the wake pipe once it closes.
-  engine_.set_generation_listener(nullptr);
+  engine_.remove_generation_listener(listener_id_);
   if (push_state_) {
     std::lock_guard<std::mutex> lock(push_state_->mutex);
     push_state_->armed = false;
@@ -749,7 +750,7 @@ void Server::handle_accept() {
       std::lock_guard<std::mutex> lock(conn_count_mutex_);
       conn_count_ = connections_.size();
     }
-    if (connections_gauge_) connections_gauge_->set(static_cast<double>(connections_.size()));
+    if (connections_gauge_) connections_gauge_->add(1);
   }
 }
 
@@ -765,7 +766,7 @@ void Server::close_connection(std::uint64_t conn_id) {
     std::lock_guard<std::mutex> lock(conn_count_mutex_);
     conn_count_ = connections_.size();
   }
-  if (connections_gauge_) connections_gauge_->set(static_cast<double>(connections_.size()));
+  if (connections_gauge_) connections_gauge_->add(-1);
 }
 
 bool Server::handle_readable(Connection& conn) {

@@ -32,7 +32,7 @@ Engine::Engine(snapshot::Snapshot initial, EngineOptions options)
   }
   const std::size_t threads = options.threads == 0 ? 1 : options.threads;
   configured_workers_ = threads;  // install() sizes the per-worker caches
-  install(std::move(initial), options.initial_generation);
+  install(std::move(initial));
 
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -291,12 +291,9 @@ util::Result<std::future<std::vector<Match>>> Engine::submit_match(
 
 // --- hot reload --------------------------------------------------------------
 
-std::uint64_t Engine::install(snapshot::Snapshot next, std::uint64_t target_generation) {
+std::uint64_t Engine::install(snapshot::Snapshot next) {
   std::lock_guard<std::mutex> lock(reload_mutex_);
-  // An explicit target (the shard-latch generation) wins when it moves the
-  // counter forward; generations stay strictly monotone either way.
-  const std::uint64_t generation = std::max(target_generation, next_generation_ + 1);
-  next_generation_ = generation;
+  const std::uint64_t generation = ++next_generation_;
   auto fresh =
       std::make_shared<State>(State{std::move(next.matcher), next.meta, generation, {}, {}});
   // Cold caches, one per worker. Built before publication (the state_mutex_
@@ -322,18 +319,25 @@ std::uint64_t Engine::install(snapshot::Snapshot next, std::uint64_t target_gene
   // Notify AFTER publication (a listener that queries sees the new
   // generation) and still under reload_mutex_ (notifications arrive in
   // generation order, never interleaved).
-  GenerationListener listener;
+  std::vector<std::pair<ListenerId, GenerationListener>> listeners;
   {
     std::lock_guard<std::mutex> listener_lock(listener_mutex_);
-    listener = generation_listener_;
+    listeners = listeners_;
   }
-  if (listener) listener(generation, meta);
+  for (const auto& [id, listener] : listeners) listener(generation, meta);
   return generation;
 }
 
-void Engine::set_generation_listener(GenerationListener listener) {
+Engine::ListenerId Engine::add_generation_listener(GenerationListener listener) {
   std::lock_guard<std::mutex> lock(listener_mutex_);
-  generation_listener_ = std::move(listener);
+  const ListenerId id = next_listener_id_++;
+  listeners_.emplace_back(id, std::move(listener));
+  return id;
+}
+
+void Engine::remove_generation_listener(ListenerId id) {
+  std::lock_guard<std::mutex> lock(listener_mutex_);
+  std::erase_if(listeners_, [id](const auto& entry) { return entry.first == id; });
 }
 
 std::uint64_t Engine::swap(snapshot::Snapshot next) {
@@ -363,22 +367,6 @@ util::Result<std::uint64_t> Engine::reload_file(const std::string& path) {
     return loaded.error();  // keep-last-good: state_ untouched
   }
   return swap(std::move(loaded).value());
-}
-
-util::Result<std::uint64_t> Engine::reload_file_view(const std::string& path,
-                                                     std::uint64_t target_generation) {
-  auto loaded = snapshot::load_file_view(path);
-  if (!loaded) {
-    if (reload_failure_) reload_failure_->add();
-    return loaded.error();  // keep-last-good: state_ untouched
-  }
-  return swap_as(std::move(loaded).value(), target_generation);
-}
-
-std::uint64_t Engine::swap_as(snapshot::Snapshot next, std::uint64_t target_generation) {
-  const std::uint64_t generation = install(std::move(next), target_generation);
-  if (reload_success_) reload_success_->add();
-  return generation;
 }
 
 // --- introspection ------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "psl/serve/snapshot.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -9,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -488,61 +486,54 @@ void test_fail_next_fsyncs(int count) {
 
 void test_set_load_file_hook(void (*hook)(const char* path)) { g_load_file_hook = hook; }
 
-util::Result<Snapshot> load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return err("snapshot.io", "cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return err("snapshot.io", "cannot size " + path);
-  in.seekg(0, std::ios::beg);
+util::Result<FileBytes> read_file(const std::string& path) {
+  // Plain POSIX I/O: an iostream here would fault in libstdc++'s locale
+  // machinery, which costs a serving process more resident memory than a
+  // real list's whole snapshot.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return err("snapshot.io", "cannot open " + path + " (" + std::strerror(errno) + ")");
+  }
+  struct ::stat st{};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return err("snapshot.io", "cannot size " + path);
+  }
+  const auto size = static_cast<std::size_t>(st.st_size);
   if (g_load_file_hook != nullptr) g_load_file_hook(path.c_str());
-  auto buffer =
-      std::make_shared<std::vector<std::uint64_t>>((static_cast<std::size_t>(size) + 7) / 8);
-  if (size > 0 && !in.read(reinterpret_cast<char*>(buffer->data()), size)) {
-    return err("snapshot.io", "short read from " + path);
+  // u64 words give the 8-byte alignment the in-place section spans need;
+  // read() fills them, so they are not zeroed first.
+  auto buffer = std::make_shared_for_overwrite<std::uint64_t[]>((size + 7) / 8);
+  auto* const out = reinterpret_cast<std::uint8_t*>(buffer.get());
+  std::size_t got = 0;
+  while (got < size) {
+    const ::ssize_t n = ::read(fd, out + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
   }
   // A concurrent writer that APPENDS between the size probe and the read
-  // would otherwise pass validation on the prefix while the on-disk file
-  // says something else (a truncation already fails as a short read above).
-  // Anyone publishing through write_file_durable never hits this; reject
-  // the racy writer instead of guessing.
-  struct ::stat st{};
-  if (::stat(path.c_str(), &st) != 0) {
-    return err("snapshot.io", "cannot re-stat " + path);
-  }
-  if (st.st_size != static_cast<off_t>(size)) {
+  // would otherwise pass validation on the prefix while the file says
+  // something else (a truncation already fails as a short read). Anyone
+  // publishing through write_file_durable never hits this; reject the racy
+  // writer instead of guessing.
+  const bool sized = ::fstat(fd, &st) == 0;
+  ::close(fd);
+  if (got != size) return err("snapshot.io", "short read from " + path);
+  if (!sized) return err("snapshot.io", "cannot re-stat " + path);
+  if (static_cast<std::size_t>(st.st_size) != size) {
     return err("snapshot.io", "file size changed while reading " + path + " (" +
                                   std::to_string(size) + " -> " +
                                   std::to_string(static_cast<long long>(st.st_size)) +
                                   " bytes); concurrent writer?");
   }
-  const std::span<const std::uint8_t> bytes(
-      reinterpret_cast<const std::uint8_t*>(buffer->data()), static_cast<std::size_t>(size));
-  return load_validated(bytes, std::move(buffer));
+  return FileBytes{std::move(buffer), {out, size}};
 }
 
-util::Result<Snapshot> load_file_view(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return err("snapshot.io", "cannot open " + path);
-  struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return err("snapshot.io", "cannot stat " + path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return err("snapshot.truncated", path + " is empty");
-  }
-  void* mem = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping pins the inode; the fd is no longer needed
-  if (mem == MAP_FAILED) return err("snapshot.io", "cannot mmap " + path);
-  std::shared_ptr<const void> mapping(mem, [size](const void* p) {
-    ::munmap(const_cast<void*>(p), size);
-  });
-  const std::span<const std::uint8_t> bytes(static_cast<const std::uint8_t*>(mem), size);
-  // mmap is page-aligned, so load_view's 8-byte alignment contract holds.
-  return load_validated(bytes, std::move(mapping));
+util::Result<Snapshot> load_file(const std::string& path) {
+  auto file = read_file(path);
+  if (!file.ok()) return file.error();
+  return load_validated(file->bytes, std::move(file->owner));
 }
 
 util::Result<std::uint64_t> write_file_durable(const std::string& path,

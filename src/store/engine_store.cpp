@@ -15,27 +15,21 @@ util::Result<std::uint64_t> Engine::open_store(const std::string& path) {
     if (reload_failure_) reload_failure_->add();
     return view.error();
   }
-  return adopt_store(std::move(*view));
-}
-
-util::Result<std::uint64_t> Engine::adopt_store(std::shared_ptr<const store::StoreView> view) {
-  if (!view) {
-    if (reload_failure_) reload_failure_->add();
-    return util::make_error("store.none", "adopt_store called with a null store view");
-  }
   // Build the newest version BEFORE publishing anything: if that fails, both
   // the current store and the serving state stay untouched (keep-last-good,
   // same contract as reload_snapshot).
-  auto snap = view->open_version(view->version_count() - 1);
+  auto snap = (*view)->open_version((*view)->version_count() - 1);
   if (!snap.ok()) {
     if (reload_failure_) reload_failure_->add();
     return snap.error();
   }
-  {
-    std::lock_guard<std::mutex> lock(store_mutex_);
-    store_ = std::move(view);
-  }
+  adopt_store(std::move(*view));
   return swap(std::move(*snap));
+}
+
+void Engine::adopt_store(std::shared_ptr<const store::StoreView> view) {
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  store_ = std::move(view);
 }
 
 std::shared_ptr<const store::StoreView> Engine::store_view() const {

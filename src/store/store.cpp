@@ -1,16 +1,10 @@
 // psl::store implementation: the Builder (write side) with its temporal
-// arena, and the StoreView (mmap read side). See include/psl/store/store.hpp
+// arena, and the StoreView (read side). See include/psl/store/store.hpp
 // for the file format.
 
 #include "psl/store/store.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -310,49 +304,17 @@ util::Result<std::uint64_t> Builder::write_file(const std::string& path) const {
 // StoreView
 // ---------------------------------------------------------------------------
 
-struct StoreView::Mapping {
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-
-  Mapping() = default;
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-  ~Mapping() {
-    if (data != nullptr) {
-      ::munmap(const_cast<std::uint8_t*>(data), size);
-    }
-  }
-};
-
 StoreView::~StoreView() = default;
 
 util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return err("store.io", "cannot open " + path + " (" + std::strerror(errno) + ")");
-  }
-  struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    return err("store.io", "cannot stat " + path + " (" + std::strerror(saved) + ")");
-  }
-  const auto size = static_cast<std::uint64_t>(st.st_size);
+  auto file = snapshot::read_file(path);
+  if (!file.ok()) return err("store.io", file.error().message);
+  const std::uint64_t size = file->bytes.size();
   if (size < kHeaderBytes) {
-    ::close(fd);
     return err("store.truncated", path + " is " + std::to_string(size) +
                                       " bytes; header needs " + std::to_string(kHeaderBytes));
   }
-  void* mapped = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ, MAP_PRIVATE, fd, 0);
-  const int saved = errno;
-  ::close(fd);
-  if (mapped == MAP_FAILED) {
-    return err("store.io", "cannot mmap " + path + " (" + std::strerror(saved) + ")");
-  }
-  auto mapping = std::make_shared<Mapping>();
-  mapping->data = static_cast<const std::uint8_t*>(mapped);
-  mapping->size = static_cast<std::size_t>(size);
-  const std::uint8_t* const p = mapping->data;
+  const std::uint8_t* const p = file->bytes.data();
 
   // --- header ---------------------------------------------------------------
   if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
@@ -377,13 +339,13 @@ util::Result<std::shared_ptr<const StoreView>> StoreView::open(const std::string
   if (version_count == 0 || version_count > (size - kHeaderBytes) / kVersionRecordBytes) {
     return err("store.bad-header", "version count does not fit the file");
   }
-  if (file_checksum(p, mapping->size) != get_u64(p + kChecksumOffset)) {
+  if (file_checksum(p, size) != get_u64(p + kChecksumOffset)) {
     return err("store.checksum", "file checksum mismatch");
   }
 
   std::shared_ptr<StoreView> view(new StoreView());
   view->path_ = path;
-  view->mapping_ = mapping;
+  view->bytes_ = std::move(file->owner);
 
   // --- version table --------------------------------------------------------
   view->versions_.reserve(version_count);
@@ -455,7 +417,7 @@ util::Result<snapshot::Snapshot> StoreView::open_version(std::size_t v) const {
   for (std::uint32_t n = 0; n < rules.size(); ++n) {
     rules[n] = rules_at(n, static_cast<std::uint32_t>(v));
   }
-  return snapshot::with_rules(*temporal_, rules, versions_[v], mapping_);
+  return snapshot::with_rules(*temporal_, rules, versions_[v], bytes_);
 }
 
 util::Result<snapshot::Snapshot> StoreView::open_at(util::Date date) const {

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "fleet.hpp"
 #include "psl/analytics/census.hpp"
 #include "psl/archive/corpus.hpp"
 #include "psl/core/sweep.hpp"
@@ -135,29 +136,25 @@ TEST(NetAnalyticsTest, IngestAndCensusRoundTrip) {
   server.shutdown();
 }
 
-TEST(NetAnalyticsTest, CensusMatchesOfflineSweeperExactly) {
+/// Replay the tiny corpus over `clients` (one thread each, interleaved
+/// batches), then require the census `reader` reads back to equal the
+/// offline Sweeper on the same corpus and list version, with every tracker
+/// sketch estimate inside its documented bracket.
+void expect_replay_matches_offline_sweep(std::vector<Client> clients, Client& reader) {
   const auto corpus = referenced_only(
       archive::generate_corpus(archive::CorpusSpec::tiny(), shared_history()));
   const auto records = wire_records(corpus);
 
-  serve::Engine engine(latest_snapshot(), analytics_options(3));
-  Server server(engine, {});
-  auto port = server.start();
-  ASSERT_TRUE(port.ok());
-
-  // Replay over the wire from two concurrent clients, interleaved batches.
-  constexpr std::size_t kClients = 2;
   constexpr std::size_t kBatch = 311;
+  const std::size_t stride = clients.size() * kBatch;
   std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
+  threads.reserve(clients.size());
+  for (std::size_t c = 0; c < clients.size(); ++c) {
     threads.emplace_back([&, c] {
-      Client client = connect_or_die(*port);
-      for (std::size_t offset = c * kBatch; offset < records.size();
-           offset += kClients * kBatch) {
+      for (std::size_t offset = c * kBatch; offset < records.size(); offset += stride) {
         const std::size_t len = std::min(kBatch, records.size() - offset);
         for (;;) {
-          auto ack = client.ingest_batch(std::span(records).subspan(offset, len));
+          auto ack = clients[c].ingest_batch(std::span(records).subspan(offset, len));
           if (!ack.ok() && ack.error().code == "net.backpressure") continue;
           ASSERT_TRUE(ack.ok()) << ack.error().message;
           ASSERT_EQ(ack->accepted, len);
@@ -168,8 +165,7 @@ TEST(NetAnalyticsTest, CensusMatchesOfflineSweeperExactly) {
   }
   for (auto& th : threads) th.join();
 
-  Client client = connect_or_die(*port);
-  auto census = client.census(512);
+  auto census = reader.census(512);
   ASSERT_TRUE(census.ok()) << census.error().message;
 
   // The offline pipeline on the same corpus and list version.
@@ -211,8 +207,31 @@ TEST(NetAnalyticsTest, CensusMatchesOfflineSweeperExactly) {
     EXPECT_GE(row.reach, true_reach);
     EXPECT_LE(row.reach, true_reach + row.reach_err);
   }
+}
 
+TEST(NetAnalyticsTest, CensusMatchesOfflineSweeperExactly) {
+  serve::Engine engine(latest_snapshot(), analytics_options(3));
+  Server server(engine, {});
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+
+  // Replay over the wire from two concurrent clients, interleaved batches.
+  std::vector<Client> clients;
+  clients.push_back(connect_or_die(*port));
+  clients.push_back(connect_or_die(*port));
+  Client reader = connect_or_die(*port);
+  expect_replay_matches_offline_sweep(std::move(clients), reader);
   server.shutdown();
+}
+
+TEST(NetFleetTest, IngestAcrossLoopsMatchesOfflineSweeper) {
+  // psld --shards 2: ingest split across both loops lands in the engine's
+  // one census, which must equal the offline sweep exactly.
+  serve::Engine engine(latest_snapshot(), analytics_options(3));
+  test_support::Fleet fleet(engine);
+  std::vector<Client> clients = fleet.clients_on_every_loop(1);
+  Client reader = connect_or_die(fleet.port());
+  expect_replay_matches_offline_sweep(std::move(clients), reader);
 }
 
 TEST(NetAnalyticsTest, UnsupportedWithoutCensus) {

@@ -913,10 +913,11 @@ TEST(NetServerTest, UdpDisabledByDefault) {
 }
 
 TEST(NetServerTest, ReusePortServersShareOnePort) {
-  // Two servers (stand-ins for two psld shard processes) join one
-  // SO_REUSEPORT group; the kernel picks the member per connection, so the
-  // assertion is that every connection is answered by SOME member, and that
-  // shutting one down hands the whole port to the survivor.
+  // Two servers, each over its own engine, join one SO_REUSEPORT group
+  // (psld --shards shares one engine; NetFleetTest covers that). The
+  // kernel picks the member per connection, so the assertion is that every
+  // connection is answered by SOME member, and that shutting one down
+  // hands the whole port to the survivor.
   serve::Engine engine_a(snap_of(list_a()), {.threads = 1});
   serve::Engine engine_b(snap_of(list_b()), {.threads = 1});
   ServerOptions first_options;

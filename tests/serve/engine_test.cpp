@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <future>
 #include <memory>
 #include <string>
@@ -110,10 +112,18 @@ TEST(ServeEngineTest, GenerationListenerFiresAfterEverySwapInOrder) {
   Engine engine(snap_of(list_a()), {.threads = 1});
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (generation, rule_count)
-  engine.set_generation_listener(
+  const Engine::ListenerId first = engine.add_generation_listener(
       [&seen](std::uint64_t generation, const snapshot::Metadata& meta) {
         seen.emplace_back(generation, meta.rule_count);
       });
+  // A second listener (a second server on the same engine) adds to the
+  // first instead of replacing it.
+  std::vector<std::uint64_t> second_seen;
+  const Engine::ListenerId second = engine.add_generation_listener(
+      [&second_seen](std::uint64_t generation, const snapshot::Metadata&) {
+        second_seen.push_back(generation);
+      });
+  EXPECT_NE(first, second);
 
   engine.reload_list(list_b());
   engine.swap(snap_of(list_a()));
@@ -123,11 +133,17 @@ TEST(ServeEngineTest, GenerationListenerFiresAfterEverySwapInOrder) {
   EXPECT_EQ(seen[0], (std::pair<std::uint64_t, std::uint64_t>{2u, 5u}));
   EXPECT_EQ(seen[1], (std::pair<std::uint64_t, std::uint64_t>{3u, 3u}));
   EXPECT_EQ(seen[2], (std::pair<std::uint64_t, std::uint64_t>{4u, 1u}));
+  EXPECT_EQ(second_seen, (std::vector<std::uint64_t>{2u, 3u, 4u}));
 
-  // Clearing the listener stops notifications.
-  engine.set_generation_listener(nullptr);
+  // Removing one listener stops its notifications and only its own.
+  engine.remove_generation_listener(first);
   engine.reload_list(list_b());
   EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(second_seen, (std::vector<std::uint64_t>{2u, 3u, 4u, 5u}));
+  engine.remove_generation_listener(second);
+  engine.remove_generation_listener(second);  // already gone: a no-op
+  engine.reload_list(list_a());
+  EXPECT_EQ(second_seen.size(), 4u);
 }
 
 TEST(ServeEngineTest, ReloadSnapshotKeepsLastGoodOnFailure) {
@@ -169,6 +185,42 @@ TEST(ServeEngineTest, ReloadFileRoundTrip) {
 
   EXPECT_EQ(engine.reload_file("/nonexistent/x.psnap").error().code, "snapshot.io");
   EXPECT_EQ(engine.generation(), 2u);  // keep-last-good
+}
+
+TEST(ServeEngineTest, InPlaceWritesToTheServedFileKeepLastGood) {
+  // The engine serves bytes it owns: truncating the file it booted from, or
+  // rewriting it in place at the same size, changes no answer, and a reload
+  // of either damaged file is rejected keep-last-good.
+  const std::string path = testing::TempDir() + "/psl_engine_in_place_test.psnap";
+  snapshot::Metadata meta;
+  meta.rule_count = list_b().rules().size();
+  ASSERT_TRUE(snapshot::write_file(path, CompiledMatcher(list_b()), meta).ok());
+  auto booted = snapshot::load_file(path);
+  ASSERT_TRUE(booted.ok()) << booted.error().message;
+  Engine engine(*std::move(booted), {.threads = 1});
+  ASSERT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc).close();
+  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+  auto truncated = engine.reload_file(path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().code, "snapshot.truncated");
+
+  for (char& c : bytes) c = static_cast<char>(~c);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+  EXPECT_FALSE(engine.reload_file(path).ok());
+  EXPECT_EQ(engine.generation(), 1u);
+  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+  std::remove(path.c_str());
 }
 
 TEST(ServeEngineTest, ShutdownDrainsAcceptedBatches) {

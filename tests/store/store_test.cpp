@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -286,7 +288,12 @@ void expect_divergence_matches_oracles(const history::History& h,
   }
   const auto image = builder.serialize();
   ASSERT_TRUE(image.ok());
-  const std::string path = write_temp("store_divergence_oracle.pstore", *image);
+  // Two tests call this helper, and ctest -j may run them at once: each
+  // gets its own file, named for the running test and this process.
+  const std::string path =
+      write_temp(std::string(testing::UnitTest::GetInstance()->current_test_info()->name()) +
+                     "." + std::to_string(::getpid()) + ".pstore",
+                 *image);
   const auto view = store::StoreView::open(path);
   ASSERT_TRUE(view.ok()) << view.error().message;
 
@@ -455,14 +462,65 @@ TEST(StoreTest, SnapshotsOutliveTheStoreView) {
     ASSERT_TRUE(got.ok());
     snap = std::move(*got);
   }
-  // The view (and its mmap) are gone; the snapshot's retain chain must keep
-  // the mapping alive. Under ASan a stale span faults loudly here.
+  // The view is gone; the snapshot's retain chain must keep the view's
+  // buffer alive. Under ASan a stale span faults loudly here.
   const List list = h.snapshot(3);
   const CompiledMatcher fresh(list);
   for (const std::string host : {"tenant.example.com", "a.b.co.uk", "x.github.io"}) {
     EXPECT_EQ(snap.matcher.match(host).registrable_domain,
               fresh.match(host).registrable_domain);
   }
+  std::remove(path.c_str());
+}
+
+TEST(StoreTest, InPlaceWritesCannotDisturbAnOpenView) {
+  // A view owns the bytes it read: truncating its file, then rewriting it in
+  // place at the same size, changes no match_at or divergence answer, and
+  // reopening either damaged file is refused.
+  const history::History& h = tiny_history();
+  const std::string image = build_store(h.version_count());
+  const std::string path = write_temp("store_in_place.pstore", image);
+  const auto view = store::StoreView::open(path);
+  ASSERT_TRUE(view.ok()) << view.error().message;
+
+  const std::vector<std::string_view> hosts = {"tenant.example.com", "a.b.co.uk",
+                                               "x.github.io", "www.tenant.example.com"};
+  const std::vector<util::Date> dates = {h.version_date(0),
+                                         h.version_date(h.version_count() / 2),
+                                         h.version_date(h.version_count() - 1)};
+  const auto answers = [&] {
+    std::vector<std::string> out;
+    for (const util::Date date : dates) {
+      std::vector<MatchView> got(hosts.size());
+      EXPECT_TRUE((*view)->match_at(date, hosts, got).ok());
+      for (const MatchView& m : got) out.emplace_back(m.registrable_domain);
+    }
+    for (const std::string_view host : hosts) {
+      const auto ranges = (*view)->divergence(host);
+      EXPECT_TRUE(ranges.ok());
+      for (const store::DivergenceRange& r : *ranges) {
+        out.push_back(r.first_date.to_string() + ".." + r.last_date.to_string() + " " +
+                      r.registrable_domain);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> before = answers();
+
+  std::ofstream(path, std::ios::binary | std::ios::trunc).close();
+  EXPECT_EQ(answers(), before);
+  const auto truncated = store::StoreView::open(path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().code, "store.truncated");
+
+  std::string flipped = image;
+  for (char& c : flipped) c = static_cast<char>(~c);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+  }
+  EXPECT_EQ(answers(), before);
+  EXPECT_FALSE(store::StoreView::open(path).ok());
   std::remove(path.c_str());
 }
 
