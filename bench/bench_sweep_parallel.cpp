@@ -1,11 +1,13 @@
 // Sweep-engine ablation: execution strategies for the Figs. 5-7 per-version
-// sweep (seed trie vs. arena-compiled matcher, 1..N worker threads, and the
-// delta-replay incremental engine).
+// sweep (1..N worker threads over the arena-compiled matcher, and the
+// delta-replay incremental engine), against a seed-trie reference series
+// computed here from the reversed-label trie (List) alone.
 //
-// Every strategy must produce bit-identical VersionMetrics — this binary
-// exits non-zero on any disagreement, so CI can smoke-run it. Prints
-// versions/sec and speedup vs. the single-threaded seed-trie baseline, and
-// writes the same numbers machine-readably to BENCH_sweep.json.
+// Every strategy must produce VersionMetrics bit-identical to the seed-trie
+// reference — this binary exits non-zero on any disagreement, so CI can
+// smoke-run it. Prints versions/sec and speedup vs. the single-threaded
+// seed-trie reference, and writes the same numbers machine-readably to
+// BENCH_sweep.json.
 //
 // Usage: bench_sweep_parallel [max_points] [max_threads]
 //   max_points   versions sampled per strategy (default 48)
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "psl/core/site_former.hpp"
 #include "psl/core/sweep.hpp"
 #include "psl/obs/json.hpp"
 #include "psl/obs/metrics.hpp"
@@ -34,6 +37,35 @@ struct StrategyResult {
   double wall_ms = 0.0;
   std::vector<psl::harm::VersionMetrics> series;
 };
+
+/// The seed reference: each sampled version's metrics from the reversed-
+/// label trie (List) alone, one thread, no Sweeper code.
+std::vector<psl::harm::VersionMetrics> seed_trie_series(const psl::history::History& history,
+                                                        const psl::archive::Corpus& corpus,
+                                                        std::size_t max_points) {
+  const auto& hosts = corpus.hostnames();
+  const psl::harm::SiteAssignment latest = psl::harm::assign_sites(history.latest(), hosts);
+  std::vector<psl::harm::VersionMetrics> series;
+  for (const std::size_t v : history.sampled_versions(max_points)) {
+    const psl::List list = history.snapshot(v);
+    const psl::harm::SiteAssignment assignment = psl::harm::assign_sites(list, hosts);
+    const psl::harm::SiteStats stats = psl::harm::site_stats(assignment);
+    psl::harm::VersionMetrics m;
+    m.version_index = v;
+    m.date = history.version_date(v);
+    m.rule_count = list.rule_count();
+    m.site_count = stats.site_count;
+    m.mean_hosts_per_site = stats.mean_hosts_per_site;
+    for (const psl::archive::Request& r : corpus.requests()) {
+      if (assignment.site_ids[r.page_host] != assignment.site_ids[r.resource_host]) {
+        ++m.third_party_requests;
+      }
+    }
+    m.divergent_hosts = psl::harm::divergent_hosts(assignment, latest);
+    series.push_back(m);
+  }
+  return series;
+}
 
 bool identical(const std::vector<psl::harm::VersionMetrics>& a,
                const std::vector<psl::harm::VersionMetrics>& b) {
@@ -83,11 +115,7 @@ int main(int argc, char** argv) {
   psl::harm::SweepOptions base;
   base.max_points = max_points;
 
-  {
-    auto o = base;
-    o.use_compiled = false;
-    add("trie, 1 thread (seed)", o);
-  }
+  add("trie, 1 thread (seed)", base);  // computed by seed_trie_series below
   add("compiled, 1 thread", base);
   for (unsigned t = 2; t <= max_threads; t *= 2) {
     auto o = base;
@@ -102,7 +130,8 @@ int main(int argc, char** argv) {
 
   for (auto& r : results) {
     const auto t0 = Clock::now();
-    r.series = sweeper.sweep(r.options);
+    r.series = &r == &results.front() ? seed_trie_series(history, corpus, max_points)
+                                      : sweeper.sweep(r.options);
     const auto t1 = Clock::now();
     r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   }
@@ -111,7 +140,7 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     if (!identical(r.series, results.front().series)) {
       all_agree = false;
-      std::cout << "METRIC MISMATCH: '" << r.name << "' diverges from the seed baseline\n";
+      std::cout << "METRIC MISMATCH: '" << r.name << "' diverges from the seed-trie reference\n";
     }
   }
 
@@ -137,7 +166,6 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     const double vps = static_cast<double>(r.series.size()) / (r.wall_ms / 1000.0);
     json << "    {\"name\": \"" << r.name << "\", \"threads\": " << r.options.threads
-         << ", \"use_compiled\": " << (r.options.use_compiled ? "true" : "false")
          << ", \"incremental\": " << (r.options.incremental ? "true" : "false")
          << ", \"wall_ms\": " << psl::util::fmt_double(r.wall_ms, 2)
          << ", \"versions_per_sec\": " << psl::util::fmt_double(vps, 2)

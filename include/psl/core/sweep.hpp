@@ -36,10 +36,6 @@ struct SweepOptions {
   /// whose suffix chain intersects the changed rules get re-matched.
   /// Single-threaded by nature; `threads` is ignored when set.
   bool incremental = false;
-  /// Match via the arena-compiled matcher (CompiledMatcher). Off = the seed
-  /// reversed-label trie (List::match); only the recompute strategies honour
-  /// this — the incremental engine always keys through its live trie.
-  bool use_compiled = true;
   /// Optional observability sink (see psl/obs). When set, sweep() records
   /// per-phase latency histograms ("sweep.compile_ms", "sweep.assign_ms",
   /// "sweep.metrics_ms", or "sweep.replay_ms" for the incremental engine),
@@ -67,8 +63,8 @@ class Sweeper {
   /// (first and last included).
   std::vector<VersionMetrics> sweep(std::size_t max_points) const;
 
-  /// Sweep with an explicit execution strategy (threads / incremental /
-  /// matcher choice). Metrics are bit-identical across strategies.
+  /// Sweep with an explicit execution strategy (threads / incremental).
+  /// Metrics are bit-identical across strategies.
   std::vector<VersionMetrics> sweep(const SweepOptions& options) const;
 
   /// Fig. 7 convenience: divergence for the list in force at `date`.
@@ -87,7 +83,7 @@ class Sweeper {
   /// Metrics common to every strategy, computed off a finished assignment.
   VersionMetrics metrics_for(const SiteAssignment& assignment, std::size_t rule_count) const;
   VersionMetrics evaluate_version(std::size_t version_index, SiteAssigner& scratch,
-                                  bool use_compiled, const PhaseSinks& sinks) const;
+                                  const PhaseSinks& sinks) const;
 
   const history::History& history_;
   const archive::Corpus& corpus_;

@@ -11,8 +11,8 @@
 // their loops, and mutate it with relaxed atomics — no locks, no allocation.
 // Name lookup takes a mutex and is for setup code only. Every instrumented
 // call site in the library also accepts a null registry, which skips the
-// instrumentation entirely; defining PSL_OBS_ENABLED=0 additionally compiles
-// the RAII timers (obs/span.hpp) down to nothing.
+// instrumentation entirely (the RAII timers in obs/span.hpp then read no
+// clock).
 #pragma once
 
 #include <atomic>
@@ -25,10 +25,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef PSL_OBS_ENABLED
-#define PSL_OBS_ENABLED 1
-#endif
 
 namespace psl::obs {
 

@@ -7,8 +7,7 @@
 // cheaper cousin: it only feeds a pre-resolved histogram handle — no name
 // lookup, no trace record — and is what per-version hot loops use.
 //
-// Both are no-ops when handed a null registry/histogram (no clock read),
-// and compile down to empty structs under -DPSL_OBS_ENABLED=0.
+// Both are no-ops when handed a null registry/histogram (no clock read).
 #pragma once
 
 #include <chrono>
@@ -18,8 +17,6 @@
 #include "psl/obs/metrics.hpp"
 
 namespace psl::obs {
-
-#if PSL_OBS_ENABLED
 
 class Timer {
  public:
@@ -60,21 +57,5 @@ class ScopedSpan {
   std::uint32_t depth_ = 0;
   ScopedSpan* parent_ = nullptr;
 };
-
-#else  // PSL_OBS_ENABLED == 0: timers vanish; call sites keep compiling.
-
-class Timer {
- public:
-  explicit Timer(Histogram*) noexcept {}
-  double elapsed_ms() const noexcept { return 0.0; }
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(MetricsRegistry*, std::string_view) noexcept {}
-  double elapsed_ms() const noexcept { return 0.0; }
-};
-
-#endif
 
 }  // namespace psl::obs

@@ -96,6 +96,15 @@ concept Matcher = requires(const M& m, std::string_view host) {
   { m.match_view(host) } -> std::same_as<MatchView>;
 };
 
+/// True when `host` exactly equals a public suffix under `matcher`.
+/// Degenerate hosts match nothing at all, so they are not suffixes (and one
+/// trailing dot is all match_view strips: "a.." is not "a").
+template <Matcher M>
+bool is_public_suffix(const M& matcher, std::string_view host) {
+  const MatchView m = matcher.match_view(host);
+  return !m.public_suffix.empty() && m.registrable_domain.empty();
+}
+
 /// Same-site predicate over any matcher, allocation-free: equal registrable
 /// domains, or (when neither host has one — both *are* suffixes, or both are
 /// degenerate) literal equality with one trailing dot tolerated. Semantics

@@ -246,18 +246,14 @@ class Engine {
   /// store and serving state are untouched and the error is returned
   /// (counted in serve.reload.failure). SIGHUP re-open goes through here.
   util::Result<std::uint64_t> open_store(const std::string& path);
-  /// Attach an already-open store for match_at / divergence / pin_version
-  /// without touching the serving state: a caller that booted the engine
-  /// from `view`'s newest version (psld --store) attaches it here, so that
+  /// Attach an already-open store for match_at / divergence without
+  /// touching the serving state: a caller that booted the engine from
+  /// `view`'s newest version (psld --store) attaches it here, so that
   /// version is built once and serves as generation 1.
   void adopt_store(std::shared_ptr<const store::StoreView> view);
   /// The adopted store, or null. Snapshots materialized from it stay valid
   /// independently of the engine's serving state.
   std::shared_ptr<const store::StoreView> store_view() const;
-  /// Swap the SERVING state to the stored version in effect at `date`
-  /// ("store.none" without a store, "store.no-version" before the first
-  /// version). Returns the new generation.
-  util::Result<std::uint64_t> pin_version(util::Date date);
   /// Answer `hosts` as the stored version in effect at `date` does
   /// (StoreView::match_at), WITHOUT touching the serving state — the
   /// match_at request path. Nothing is materialized or cached. Returns the

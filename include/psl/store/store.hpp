@@ -167,7 +167,7 @@ class StoreView {
                                             std::span<MatchView> out) const;
 
   /// Version `v` as a standalone Snapshot, for callers that serve one
-  /// version (psld boot, Engine::pin_version): the union arena with every
+  /// version (psld boot, Engine::open_store): the union arena with every
   /// node's rule bits set to version v's (snapshot::with_rules). Only the
   /// node array is built; hashes, children and pool are shared zero-copy
   /// with the view's buffer. It answers exactly like version v's own arena, but

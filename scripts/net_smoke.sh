@@ -52,13 +52,27 @@ WATCH_PID=
 trap 'kill "$DAEMON_PID" "$STORE_PID" "$WATCH_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 cd "$WORK"
 
+# Every daemon's stdout (.log) and stderr (.err), each line tagged with its
+# file, so a failure explains itself.
+dump_logs() {
+  local f
+  for f in psld psld_store psld_analytics psld_shards; do
+    [[ -f $f.log ]] && sed "s/^/net_smoke: $f.log| /" "$f.log" >&2
+    [[ -f $f.err ]] && sed "s/^/net_smoke: $f.err| /" "$f.err" >&2
+  done
+  return 0
+}
+
 fail() {
   echo "net_smoke: FAIL: $*" >&2
-  [[ -f psld.log ]] && sed 's/^/net_smoke: psld| /' psld.log >&2
-  [[ -f psld_store.log ]] && sed 's/^/net_smoke: psld-store| /' psld_store.log >&2
-  [[ -f psld_shards.log ]] && sed 's/^/net_smoke: psld-shards| /' psld_shards.log >&2
+  dump_logs
   exit 1
 }
+
+# Under set -e an unguarded failing command would end the script silently;
+# name the line and the command instead, then dump the logs.
+set -E
+trap 'status=$?; trap - ERR; fail "line $LINENO exited $status: $BASH_COMMAND"' ERR
 
 # Daemons bind 127.0.0.1:0 and the kernel's pick is announced in the
 # "serving generation ... on 127.0.0.1:PORT" banner; fish it back out.
@@ -342,7 +356,7 @@ THIRD=$(sed -n 's/^census third-party \([0-9]*\)$/\1/p' census1.txt)
   || fail "first-party ($FIRST) + third-party ($THIRD) != records ($REQUESTS)"
 grep -qx "census dropped 0" census1.txt || fail "census dropped records on the tiny corpus"
 grep -q "^census tracker " census1.txt || fail "census reported no trackers"
-[[ $(grep -c "^census tracker " census1.txt) -le 8 ]] || fail "census ignored top_k 8"
+[[ $(grep -c "^census tracker " census1.txt || true) -le 8 ]] || fail "census ignored top_k 8"
 
 # Queries and ingest share the daemon: the boundary path must still serve.
 "$PSLD" query "$ANALYTICS_ADDR" shop1.myshopify.com \

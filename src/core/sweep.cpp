@@ -47,33 +47,23 @@ VersionMetrics Sweeper::evaluate_list(const List& list) const {
 }
 
 VersionMetrics Sweeper::evaluate_version(std::size_t version_index, SiteAssigner& scratch,
-                                         bool use_compiled, const PhaseSinks& sinks) const {
+                                         const PhaseSinks& sinks) const {
   // Phase 1 — compile: materialise the version's list (delta replay inside
-  // History) and, on the compiled path, freeze it into the arena matcher.
+  // History) and freeze it into the arena matcher.
   std::size_t rule_count = 0;
   std::optional<CompiledMatcher> matcher;
-  std::optional<List> snapshot;
   {
     const obs::Timer timer(sinks.compile_ms);
-    snapshot.emplace(history_.snapshot(version_index));
-    rule_count = snapshot->rule_count();
-    if (use_compiled) {
-      matcher.emplace(*snapshot);
-      snapshot.reset();  // the arena is self-contained
-    }
+    const List snapshot = history_.snapshot(version_index);
+    rule_count = snapshot.rule_count();
+    matcher.emplace(snapshot);
   }
 
   // Phase 2 — assign: one match per unique hostname.
   const SiteAssignment* assignment = nullptr;
-  std::optional<SiteAssignment> owned;
   {
     const obs::Timer timer(sinks.assign_ms);
-    if (use_compiled) {
-      assignment = &scratch.assign(*matcher);
-    } else {
-      owned.emplace(assign_sites(*snapshot, corpus_.hostnames()));
-      assignment = &*owned;
-    }
+    assignment = &scratch.assign(*matcher);
   }
 
   // Phase 3 — metrics: per-request third-party flags + divergence.
@@ -145,7 +135,7 @@ std::vector<VersionMetrics> Sweeper::sweep(const SweepOptions& options) const {
     scratch.set_metrics(registry);
     obs::Counter* pulled = worker_counter(0);
     for (std::size_t i = 0; i < sampled.size(); ++i) {
-      out[i] = evaluate_version(sampled[i], scratch, options.use_compiled, sinks);
+      out[i] = evaluate_version(sampled[i], scratch, sinks);
       if (pulled) pulled->add();
     }
     return out;
@@ -163,7 +153,7 @@ std::vector<VersionMetrics> Sweeper::sweep(const SweepOptions& options) const {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= sampled.size()) break;
-      out[i] = evaluate_version(sampled[i], scratch, options.use_compiled, sinks);
+      out[i] = evaluate_version(sampled[i], scratch, sinks);
       if (pulled) pulled->add();
     }
   };

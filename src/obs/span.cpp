@@ -2,8 +2,6 @@
 
 namespace psl::obs {
 
-#if PSL_OBS_ENABLED
-
 namespace {
 
 // Innermost open span on this thread — the parent of any span opened next.
@@ -40,7 +38,5 @@ double ScopedSpan::elapsed_ms() const noexcept {
   if (!registry_) return 0.0;
   return registry_->now_ms() - start_ms_;
 }
-
-#endif  // PSL_OBS_ENABLED
 
 }  // namespace psl::obs

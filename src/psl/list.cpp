@@ -130,11 +130,7 @@ std::optional<std::string> List::registrable_domain(std::string_view host) const
 }
 
 bool List::is_public_suffix(std::string_view host) const {
-  // match_view() already tolerates one trailing dot; stripping here too
-  // would turn the degenerate "a.." into "a". Degenerate hosts match
-  // nothing at all — they are not suffixes.
-  const MatchView m = match_view(host);
-  return !m.public_suffix.empty() && m.registrable_domain.empty();
+  return psl::is_public_suffix(*this, host);
 }
 
 bool List::same_site(std::string_view a, std::string_view b) const {

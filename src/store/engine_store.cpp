@@ -37,20 +37,6 @@ std::shared_ptr<const store::StoreView> Engine::store_view() const {
   return store_;
 }
 
-util::Result<std::uint64_t> Engine::pin_version(util::Date date) {
-  const auto view = store_view();
-  if (!view) {
-    if (reload_failure_) reload_failure_->add();
-    return util::make_error("store.none", "engine has no store attached");
-  }
-  auto snap = view->open_at(date);
-  if (!snap.ok()) {
-    if (reload_failure_) reload_failure_->add();
-    return snap.error();
-  }
-  return swap(std::move(*snap));
-}
-
 util::Result<snapshot::Metadata> Engine::match_at(util::Date date,
                                                   std::span<const std::string_view> hosts,
                                                   std::span<MatchView> out) const {

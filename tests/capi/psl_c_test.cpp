@@ -2,20 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <cstdint>
+#include <optional>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "psl/analytics/census.hpp"
-#include "psl/net/server.hpp"
-#include "psl/psl/compiled_matcher.hpp"
+#include "canonical_cases.hpp"
+#include "matcher_hosts.hpp"
 #include "psl/psl/list.hpp"
-#include "psl/serve/engine.hpp"
-#include "psl/serve/snapshot.hpp"
-#include "psl/store/store.hpp"
-#include "psl/util/date.hpp"
 
 namespace {
 
@@ -106,12 +100,80 @@ TEST(CApiTest, AllocationFailureReturnsNull) {
   pslh_test_fail_next_allocs(0);  // disarm
 }
 
+/// A caller-owned C-API string as an optional (nullopt for NULL), freed.
+std::optional<std::string> take_optional(const char* s) {
+  if (s == nullptr) return std::nullopt;
+  return take(s);
+}
+
+/// Every single-host pslh_* call and pslh_same_site_batch must answer over
+/// `hosts` exactly as a List built from the same `rules` text. Same-site
+/// runs over each host paired with its successor, with itself and with a
+/// one-label-deeper copy of itself.
+void expect_answers_like_list(const std::string& rules, const std::vector<std::string>& hosts) {
+  const auto parsed = psl::List::parse(rules);
+  ASSERT_TRUE(parsed.ok());
+  const psl::List& list = *parsed;
+  pslh_ctx_t* ctx = pslh_load_from_data(rules.data(), rules.size());
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_EQ(pslh_rule_count(ctx), list.rule_count());
+
+  for (const std::string& host : hosts) {
+    EXPECT_EQ(pslh_is_public_suffix(ctx, host.c_str()), list.is_public_suffix(host) ? 1 : 0)
+        << host;
+    EXPECT_EQ(take_optional(pslh_registrable_domain(ctx, host.c_str())),
+              list.registrable_domain(host))
+        << host;
+    // "" is rejected up front; every other host has a public suffix string.
+    const std::optional<std::string> suffix =
+        host.empty() ? std::nullopt : std::optional<std::string>(list.public_suffix(host));
+    EXPECT_EQ(take_optional(pslh_unregistrable_domain(ctx, host.c_str())), suffix) << host;
+  }
+
+  std::vector<std::string> deeper;
+  deeper.reserve(hosts.size());
+  for (const std::string& host : hosts) deeper.push_back("x." + host);
+  std::vector<const char*> a, b;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const std::string* others[] = {&hosts[(i + 1) % hosts.size()], &hosts[i], &deeper[i]};
+    for (const std::string* other : others) {
+      a.push_back(hosts[i].c_str());
+      b.push_back(other->c_str());
+    }
+  }
+  std::vector<int> batch(a.size(), -1);
+  ASSERT_EQ(pslh_same_site_batch(ctx, a.data(), b.data(), a.size(), batch.data()), PSLH_OK);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const int expected = list.same_site(a[i], b[i]) ? 1 : 0;
+    EXPECT_EQ(pslh_same_site(ctx, a[i], b[i]), expected) << a[i] << " vs " << b[i];
+    EXPECT_EQ(batch[i], expected) << a[i] << " vs " << b[i];
+  }
+  pslh_free(ctx);
+}
+
+TEST(CApiTest, AnswersLikeListOnCanonicalCases) {
+  std::vector<std::string> hosts;
+  for (const auto& c : psl::test_support::kCanonicalCases) hosts.emplace_back(c.domain);
+  expect_answers_like_list(std::string(psl::test_support::kCanonicalRules), hosts);
+}
+
+TEST(CApiTest, AnswersLikeListOnMatcherEquivalenceHosts) {
+  for (const std::uint64_t seed : {11, 22, 33, 55, 88, 144, 233, 377}) {
+    SCOPED_TRACE(seed);
+    expect_answers_like_list(psl::test_support::random_list(seed, 140).to_file(),
+                             psl::test_support::generated_hosts(seed, 3000));
+  }
+  SCOPED_TRACE("hostile");
+  expect_answers_like_list(psl::test_support::random_list(4096, 120).to_file(),
+                           psl::test_support::hostile_hosts());
+}
+
 TEST(CApiEngineTest, LifecycleAndBatches) {
   const std::string file = "com\nuk\nco.uk\n";
   pslh_ctx_t* ctx = pslh_load_from_data(file.data(), file.size());
   ASSERT_NE(ctx, nullptr);
   pslh_engine_t* engine = pslh_engine_new(ctx, 2, 0);
-  pslh_free(ctx);  // the engine compiled its own copy
+  pslh_free(ctx);  // the engine holds its own copy
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(pslh_engine_generation(engine), 1u);
 
@@ -200,335 +262,6 @@ TEST(CApiEngineTest, NullSafetyAndAllocationFailure) {
   EXPECT_EQ(take(out[1]), "example.com");
 
   pslh_engine_free(engine);
-}
-
-/// A real psl::net server on an ephemeral loopback port for the
-/// pslh_client_* surface (the C API wraps psl::net::Client).
-struct LoopbackDaemon {
-  psl::serve::Engine engine;
-  psl::net::Server server;
-  unsigned short port = 0;
-
-  explicit LoopbackDaemon(const std::string& list_text, bool analytics = false)
-      : engine(snapshot_of(list_text), engine_options(analytics)), server(engine, {}) {
-    auto started = server.start();
-    EXPECT_TRUE(started.ok());
-    port = started.ok() ? *started : 0;
-  }
-
-  static psl::serve::EngineOptions engine_options(bool analytics) {
-    psl::serve::EngineOptions options;
-    options.threads = 1;
-    if (analytics) options.census_factory = psl::analytics::census_factory({});
-    return options;
-  }
-
-  static psl::snapshot::Snapshot snapshot_of(const std::string& text) {
-    auto parsed = psl::List::parse(text);
-    EXPECT_TRUE(parsed.ok());
-    psl::snapshot::Metadata meta;
-    meta.rule_count = parsed->rules().size();
-    return psl::snapshot::Snapshot{psl::CompiledMatcher(*parsed), meta};
-  }
-};
-
-TEST(CApiClientTest, ConnectQueryAndFree) {
-  LoopbackDaemon daemon("com\nuk\nco.uk\n");
-  ASSERT_NE(daemon.port, 0);
-
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-  EXPECT_EQ(pslh_client_connected(client), 1);
-  EXPECT_EQ(pslh_client_ping(client), 1);
-  EXPECT_EQ(pslh_client_generation(client), 1u);
-
-  const char* hosts[] = {"a.b.example.com", "x.co.uk", "co.uk"};
-  const char* out[3] = {nullptr, nullptr, nullptr};
-  ASSERT_EQ(pslh_client_registrable_domains(client, hosts, 3, out), 1);
-  EXPECT_EQ(take(out[0]), "example.com");
-  EXPECT_EQ(take(out[1]), "x.co.uk");
-  EXPECT_EQ(out[2], nullptr);  // co.uk is itself a suffix
-
-  const char* a[] = {"a.example.com", "one.com"};
-  const char* b[] = {"b.example.com", "two.com"};
-  int sites[2] = {-1, -1};
-  ASSERT_EQ(pslh_client_same_site(client, a, b, 2, sites), 1);
-  EXPECT_EQ(sites[0], 1);
-  EXPECT_EQ(sites[1], 0);
-
-  pslh_client_free(client);
-}
-
-TEST(CApiClientTest, WireReloadBumpsGeneration) {
-  LoopbackDaemon daemon("com\nuk\nco.uk\n");
-  ASSERT_NE(daemon.port, 0);
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-
-  // Garbage is rejected keep-last-good; the C surface reports 0.
-  const unsigned char garbage[] = {'n', 'o', 'p', 'e'};
-  EXPECT_EQ(pslh_client_reload_snapshot(client, garbage, sizeof garbage), 0);
-  EXPECT_EQ(pslh_client_generation(client), 1u);
-
-  auto parsed = psl::List::parse("com\nexample.com\n");
-  ASSERT_TRUE(parsed.ok());
-  psl::snapshot::Metadata meta;
-  meta.rule_count = parsed->rules().size();
-  const std::string bytes = psl::snapshot::serialize(psl::CompiledMatcher(*parsed), meta);
-  ASSERT_EQ(pslh_client_reload_snapshot(
-                client, reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()),
-            1);
-  EXPECT_EQ(pslh_client_generation(client), 2u);
-
-  const char* hosts[] = {"a.b.example.com"};
-  const char* out[1] = {nullptr};
-  ASSERT_EQ(pslh_client_registrable_domains(client, hosts, 1, out), 1);
-  EXPECT_EQ(take(out[0]), "b.example.com");  // example.com is now a suffix
-
-  pslh_client_free(client);
-}
-
-TEST(CApiClientTest, NullSafetyAndConnectFailure) {
-  EXPECT_EQ(pslh_client_connect(nullptr, 1, 0), nullptr);
-  // Port 1 on loopback: nothing listens there in the test environment.
-  EXPECT_EQ(pslh_client_connect("127.0.0.1", 1, 500), nullptr);
-
-  EXPECT_EQ(pslh_client_connected(nullptr), 0);
-  EXPECT_EQ(pslh_client_ping(nullptr), 0);
-  EXPECT_EQ(pslh_client_generation(nullptr), 0u);
-  EXPECT_EQ(pslh_client_reload_snapshot(nullptr, nullptr, 0), 0);
-  pslh_client_free(nullptr);  // no-op
-
-  LoopbackDaemon daemon("com\n");
-  ASSERT_NE(daemon.port, 0);
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-  const char* hosts[] = {"a.example.com", nullptr};
-  const char* out[2] = {nullptr, nullptr};
-  EXPECT_EQ(pslh_client_registrable_domains(client, nullptr, 2, out), 0);
-  EXPECT_EQ(pslh_client_registrable_domains(client, hosts, 2, nullptr), 0);
-  EXPECT_EQ(pslh_client_registrable_domains(client, hosts, 2, out), 0);  // NULL host
-  EXPECT_EQ(out[0], nullptr);
-  EXPECT_EQ(out[1], nullptr);
-  EXPECT_EQ(pslh_client_registrable_domains(client, hosts, 0, out), 1);  // empty batch
-
-  int sites[1] = {-1};
-  EXPECT_EQ(pslh_client_same_site(client, nullptr, hosts, 1, sites), 0);
-  EXPECT_EQ(sites[0], 0);
-
-  // A mid-batch string-duplication failure frees what was built and reports
-  // failure with an all-NULL output array (same contract as the engine API).
-  const char* two[] = {"a.example.com", "b.example.com"};
-  pslh_test_fail_next_allocs(1);
-  EXPECT_EQ(pslh_client_registrable_domains(client, two, 2, out), 0);
-  EXPECT_EQ(out[0], nullptr);
-  EXPECT_EQ(out[1], nullptr);
-  pslh_test_fail_next_allocs(0);
-
-  pslh_client_free(client);
-}
-
-TEST(CApiClientTest, MatchAtAndDivergence) {
-  LoopbackDaemon daemon("com\nuk\nco.uk\nmyshopify.com\n");
-  ASSERT_NE(daemon.port, 0);
-
-  // Attach a two-version store: 2020-06-01 lacks the myshopify.com rule,
-  // 2021-06-01 has it — the host's answer flips between the two.
-  psl::store::Builder builder;
-  const auto add = [&](const std::string& text, int year) {
-    auto parsed = psl::List::parse(text);
-    ASSERT_TRUE(parsed.ok());
-    psl::snapshot::Metadata meta;
-    meta.source_date = psl::util::Date::from_civil(year, 6, 1);
-    meta.rule_count = parsed->rules().size();
-    ASSERT_TRUE(builder.add(psl::CompiledMatcher(*parsed), meta).ok());
-  };
-  add("com\nuk\nco.uk\n", 2020);
-  add("com\nuk\nco.uk\nmyshopify.com\n", 2021);
-  const std::string path = testing::TempDir() + "capi_two_version.pstore";
-  ASSERT_TRUE(builder.write_file(path).ok());
-  ASSERT_TRUE(daemon.engine.open_store(path).ok());
-
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-
-  const long long early = psl::util::Date::from_civil(2020, 12, 1).days_since_epoch();
-  const long long late = psl::util::Date::from_civil(2022, 1, 1).days_since_epoch();
-  const char* hosts[] = {"shop1.myshopify.com", "co.uk"};
-  const char* out[2] = {nullptr, nullptr};
-  long long version_date = 0;
-
-  ASSERT_EQ(pslh_client_match_at(client, early, hosts, 2, out, &version_date), 1);
-  EXPECT_EQ(version_date, psl::util::Date::from_civil(2020, 6, 1).days_since_epoch());
-  EXPECT_EQ(take(out[0]), "myshopify.com");
-  EXPECT_EQ(out[1], nullptr);  // co.uk is itself a suffix in every version
-
-  ASSERT_EQ(pslh_client_match_at(client, late, hosts, 2, out, &version_date), 1);
-  EXPECT_EQ(version_date, psl::util::Date::from_civil(2021, 6, 1).days_since_epoch());
-  EXPECT_EQ(take(out[0]), "shop1.myshopify.com");
-
-  // A date before the first version, and bad arguments, report 0 all-NULL.
-  EXPECT_EQ(pslh_client_match_at(client, 0, hosts, 2, out, nullptr), 0);
-  EXPECT_EQ(out[0], nullptr);
-  EXPECT_EQ(pslh_client_match_at(client, early, nullptr, 2, out, nullptr), 0);
-  EXPECT_EQ(pslh_client_match_at(client, early, hosts, 0, out, nullptr), 1);
-
-  // Divergence: count-only probe, then the filled arrays.
-  size_t total = 0;
-  ASSERT_EQ(pslh_client_divergence(client, "shop1.myshopify.com", nullptr, nullptr, nullptr,
-                                   0, &total),
-            PSLH_OK);
-  ASSERT_EQ(total, 2u);
-  long long first[2] = {0, 0};
-  long long last[2] = {0, 0};
-  const char* domains[2] = {nullptr, nullptr};
-  ASSERT_EQ(pslh_client_divergence(client, "shop1.myshopify.com", first, last, domains, 2,
-                                   &total),
-            PSLH_OK);
-  EXPECT_EQ(total, 2u);
-  EXPECT_EQ(first[0], psl::util::Date::from_civil(2020, 6, 1).days_since_epoch());
-  EXPECT_EQ(last[1], psl::util::Date::from_civil(2021, 6, 1).days_since_epoch());
-  EXPECT_EQ(take(domains[0]), "myshopify.com");
-  EXPECT_EQ(take(domains[1]), "shop1.myshopify.com");
-
-  EXPECT_EQ(pslh_client_divergence(client, nullptr, first, last, domains, 2, &total),
-            PSLH_ERROR);
-  EXPECT_EQ(pslh_client_divergence(client, "shop1.myshopify.com", first, last, domains, 2,
-                                   nullptr),
-            PSLH_ERROR);  // total_out is required
-
-  pslh_client_free(client);
-}
-
-/// The C mirror of the push channel: subscribe converges immediately, a
-/// server-side reload is observed through the pushed generation (and the
-/// registered callback) without the client issuing any query.
-TEST(CApiClientTest, SubscribePushAndCallback) {
-  LoopbackDaemon daemon("com\nuk\nco.uk\n");
-  ASSERT_NE(daemon.port, 0);
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-
-  struct Seen {
-    std::vector<std::pair<unsigned long long, long long>> pushes;  // (generation, delta)
-  } seen;
-  ASSERT_EQ(pslh_client_set_push_callback(
-                client,
-                [](unsigned long long generation, unsigned long long, long long rule_delta,
-                   void* user_data) {
-                  static_cast<Seen*>(user_data)->pushes.emplace_back(generation, rule_delta);
-                },
-                &seen),
-            PSLH_OK);
-
-  unsigned long long generation = 0;
-  ASSERT_EQ(pslh_client_subscribe(client, &generation), PSLH_OK);
-  EXPECT_EQ(generation, 1u);
-  EXPECT_EQ(pslh_client_last_pushed_generation(client), 1u);
-
-  // Reload server-side; the client learns about it by draining pushes only.
-  auto parsed = psl::List::parse("com\nuk\nco.uk\ngithub.io\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(daemon.engine.reload_list(*std::move(parsed)), 2u);
-  size_t drained = 0;
-  for (int waited = 0; waited < 5000 && pslh_client_last_pushed_generation(client) < 2u;
-       waited += 5) {
-    ASSERT_EQ(pslh_client_poll_pushes(client, &drained), PSLH_OK);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(pslh_client_last_pushed_generation(client), 2u);
-  ASSERT_EQ(seen.pushes.size(), 1u);
-  EXPECT_EQ(seen.pushes[0].first, 2u);
-  EXPECT_EQ(seen.pushes[0].second, 1);  // one rule more than the subscribed generation
-
-  // NULL safety for the push surface.
-  EXPECT_EQ(pslh_client_subscribe(nullptr, &generation), PSLH_ERROR);
-  EXPECT_EQ(pslh_client_set_push_callback(nullptr, nullptr, nullptr), PSLH_ERROR);
-  EXPECT_EQ(pslh_client_poll_pushes(nullptr, &drained), PSLH_ERROR);
-  EXPECT_EQ(pslh_client_last_pushed_generation(nullptr), 0u);
-  EXPECT_EQ(pslh_client_reconnect(nullptr), PSLH_ERROR);
-  EXPECT_EQ(pslh_client_set_push_callback(client, nullptr, nullptr), PSLH_OK);  // unregister
-
-  pslh_client_free(client);
-}
-
-/// The C mirror of the analytics surface: stream a batch, read the census
-/// back with every row family allocated, and free it twice safely.
-TEST(CApiClientTest, IngestBatchAndCensus) {
-  LoopbackDaemon daemon("com\nuk\nco.uk\nnet\n", /*analytics=*/true);
-  ASSERT_NE(daemon.port, 0);
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-
-  const char* pages[] = {"www.example.com", "www.example.com", "shop.example.co.uk"};
-  const char* resources[] = {"tracker.net", "cdn.example.com", "tracker.net"};
-  const long long timestamps[] = {10, 20, 30};
-  unsigned long long generation = 0;
-  ASSERT_EQ(pslh_client_ingest_batch(client, pages, resources, timestamps, 3, &generation),
-            PSLH_OK);
-  EXPECT_EQ(generation, 1u);
-  // NULL timestamps are allowed (they ingest as 0).
-  ASSERT_EQ(pslh_client_ingest_batch(client, pages, resources, nullptr, 0, nullptr), PSLH_OK);
-
-  pslh_census_t census;
-  ASSERT_EQ(pslh_client_census(client, 8, &census), PSLH_OK);
-  EXPECT_EQ(census.generation, 1u);
-  EXPECT_EQ(census.records, 3u);
-  EXPECT_EQ(census.first_party, 1u);   // cdn.example.com under example.com
-  EXPECT_EQ(census.third_party, 2u);   // tracker.net from both sites
-  EXPECT_EQ(census.unique_hosts, 4u);
-  EXPECT_EQ(census.sites_formed, 3u);
-  EXPECT_EQ(census.dropped, 0u);
-  EXPECT_GT(census.state_bytes, 0u);
-  ASSERT_EQ(census.tracker_count, 1u);
-  EXPECT_EQ(take(census.tracker_domains[0]), "tracker.net");
-  census.tracker_domains[0] = nullptr;  // take() freed it
-  EXPECT_EQ(census.tracker_requests[0], 2u);
-  EXPECT_EQ(census.tracker_reach[0], 2u);
-  pslh_census_free(&census);
-  pslh_census_free(&census);  // freeing the zeroed struct is a no-op
-  pslh_census_free(nullptr);
-
-  // NULL safety.
-  EXPECT_EQ(pslh_client_ingest_batch(nullptr, pages, resources, nullptr, 3, nullptr),
-            PSLH_ERROR);
-  EXPECT_EQ(pslh_client_ingest_batch(client, nullptr, resources, nullptr, 3, nullptr),
-            PSLH_ERROR);
-  EXPECT_EQ(pslh_client_ingest_batch(client, pages, nullptr, nullptr, 3, nullptr),
-            PSLH_ERROR);
-  EXPECT_EQ(pslh_client_census(nullptr, 0, &census), PSLH_ERROR);
-  EXPECT_EQ(pslh_client_census(client, 0, nullptr), PSLH_ERROR);
-
-  // A duplication failure mid-copy unwinds the whole census, not half of it.
-  pslh_test_fail_next_allocs(1);
-  EXPECT_EQ(pslh_client_census(client, 8, &census), PSLH_ERROR);
-  pslh_test_fail_next_allocs(0);
-  EXPECT_EQ(census.tracker_count, 0u);
-  EXPECT_EQ(census.etlds, nullptr);
-
-  pslh_client_free(client);
-}
-
-/// Without a census on the server, the analytics calls fail cleanly and the
-/// connection keeps serving.
-TEST(CApiClientTest, AnalyticsUnsupportedWithoutCensus) {
-  LoopbackDaemon daemon("com\n");
-  ASSERT_NE(daemon.port, 0);
-  pslh_client_t* client = pslh_client_connect("127.0.0.1", daemon.port, 5000);
-  ASSERT_NE(client, nullptr);
-
-  const char* pages[] = {"a.example.com"};
-  const char* resources[] = {"b.example.com"};
-  unsigned long long generation = 7;
-  EXPECT_EQ(pslh_client_ingest_batch(client, pages, resources, nullptr, 1, &generation),
-            PSLH_ERROR);
-  EXPECT_EQ(generation, 0u);  // outputs are zeroed on failure
-  pslh_census_t census;
-  EXPECT_EQ(pslh_client_census(client, 0, &census), PSLH_ERROR);
-  EXPECT_EQ(census.records, 0u);
-  EXPECT_EQ(pslh_client_ping(client), 1);  // the rejection is not fatal
-
-  pslh_client_free(client);
 }
 
 }  // namespace

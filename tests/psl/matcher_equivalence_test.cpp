@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "matcher_hosts.hpp"
 #include "psl/psl/compiled_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/psl/match.hpp"
@@ -71,43 +72,8 @@ void expect_all_agree(const List& list, const CompiledMatcher& compiled,
   ASSERT_EQ(batched.prevailing_rule(), v.prevailing_rule()) << host;
 }
 
-/// Random rule set drawn from a small shared label pool (mirrors
-/// matcher_property_test so hosts collide with rules often).
-List random_list(std::uint64_t seed, std::size_t rules) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-
-  auto pick = [&] { return pool[rng.below(pool.size())]; };
-
-  std::vector<Rule> out;
-  while (out.size() < rules) {
-    std::string text;
-    const std::size_t labels = 1 + rng.below(3);
-    for (std::size_t i = 0; i < labels; ++i) {
-      if (!text.empty()) text.push_back('.');
-      text += pick();
-    }
-    const double roll = rng.uniform01();
-    if (roll < 0.12) {
-      text = "*." + text;
-    } else if (roll < 0.18 && labels >= 2) {
-      text = "!" + text;
-    }
-    auto rule = Rule::parse(text, rng.chance(0.3) ? Section::kPrivate : Section::kIcann);
-    if (rule.ok()) out.push_back(*std::move(rule));
-  }
-  return List::from_rules(std::move(out));
-}
-
-std::vector<std::string> shared_pool(std::uint64_t seed) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-  return pool;
-}
+using test_support::random_list;
+using test_support::shared_pool;
 
 class MatcherEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -115,17 +81,7 @@ TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
   const std::uint64_t seed = GetParam();
   const List list = random_list(seed, 140);
   const CompiledMatcher compiled(list);
-  const auto pool = shared_pool(seed);
-
-  util::Rng rng(seed ^ 0xC0FFEE);
-  for (int i = 0; i < 3000; ++i) {
-    std::string host;
-    const std::size_t labels = 1 + rng.below(5);
-    for (std::size_t l = 0; l < labels; ++l) {
-      if (!host.empty()) host.push_back('.');
-      host += pool[rng.below(pool.size())];
-    }
-    if (rng.chance(0.05)) host.push_back('.');  // trailing dot tolerance
+  for (const std::string& host : test_support::generated_hosts(seed, 3000)) {
     expect_all_agree(list, compiled, host);
   }
 }
@@ -215,22 +171,7 @@ TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
   const List list = random_list(4096, 120);
   const CompiledMatcher compiled(list);
 
-  const std::vector<std::string> hostile = {
-      "",      ".",        "..",         "...",          "....",
-      "a.",    "a..",      ".a",         "..a",          "a..b",
-      "a...b", ".a.b.",    "*",          "*.ck",         "!www.ck",
-      "-",     "a-.b",     std::string(300, 'a'),        "a." + std::string(200, 'b'),
-      std::string(64, '.') + "com",      "x" + std::string(100, '.') + "y",
-  };
-  for (const std::string& host : hostile) expect_all_agree(list, compiled, host);
-
-  // Random byte blobs, dots included with high probability.
-  util::Rng rng(777);
-  const std::string alphabet = "ab.-.!*.c.";
-  for (int i = 0; i < 4000; ++i) {
-    std::string host;
-    const std::size_t len = rng.below(24);
-    for (std::size_t c = 0; c < len; ++c) host += alphabet[rng.below(alphabet.size())];
+  for (const std::string& host : test_support::hostile_hosts()) {
     expect_all_agree(list, compiled, host);
   }
 }

@@ -419,24 +419,13 @@ TEST(StoreTest, EngineOpenStorePinAndTimeTravel) {
   EXPECT_EQ(engine.metadata().source_date, h.version_date(h.version_count() - 1));
   ASSERT_TRUE(engine.store_view());
 
-  // pin_version swaps the serving state to the version in effect at a date.
-  const auto pinned = engine.pin_version(h.version_date(2));
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(engine.metadata().source_date, h.version_date(2));
-
   // match_at answers from the store without touching the serving state.
   const auto at = engine.match_at(h.version_date(5), {&host, 1}, {&answer, 1});
   ASSERT_TRUE(at.ok());
   EXPECT_EQ(at->source_date, h.version_date(5));
   EXPECT_EQ(answer.to_match().registrable_domain,
             h.snapshot(5).match(host).registrable_domain);
-  EXPECT_EQ(engine.metadata().source_date, h.version_date(2));
-
-  // A date before history begins is an error; serving state unaffected.
-  const auto early = engine.pin_version(util::Date{h.version_date(0).days_since_epoch() - 10});
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.error().code, "store.no-version");
-  EXPECT_EQ(engine.metadata().source_date, h.version_date(2));
+  EXPECT_EQ(engine.metadata().source_date, h.version_date(h.version_count() - 1));
 
   // Engine::divergence delegates to the adopted store.
   const auto div = engine.divergence(host);
@@ -446,7 +435,7 @@ TEST(StoreTest, EngineOpenStorePinAndTimeTravel) {
   // Keep-last-good: opening a nonexistent store leaves everything serving.
   const auto missing = engine.open_store(testing::TempDir() + "/no_such.pstore");
   ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(engine.metadata().source_date, h.version_date(2));
+  EXPECT_EQ(engine.metadata().source_date, h.version_date(h.version_count() - 1));
   ASSERT_TRUE(engine.store_view());
   std::remove(path.c_str());
 }
